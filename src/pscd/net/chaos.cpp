@@ -1,18 +1,10 @@
 #include "pscd/net/chaos.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -25,18 +17,6 @@ namespace pscd::net {
 
 namespace {
 
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error("ChaosProxy: " + what + ": " +
-                           std::strerror(errno));
-}
-
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throwErrno("fcntl(O_NONBLOCK)");
-  }
-}
-
 /// Uniform [0, 1) from a SplitMix64 stream.
 double u01(std::uint64_t& state) {
   return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
@@ -48,6 +28,15 @@ void validateDirection(const ChaosDirection& dir, const char* name) {
     throw std::invalid_argument(std::string("ChaosProxy: negative ") + name +
                                 " latency/jitter/rate");
   }
+}
+
+const ChaosConfig& validated(const ChaosConfig& config) {
+  if (config.targetPort == 0) {
+    throw std::invalid_argument("ChaosProxy: targetPort must be set");
+  }
+  validateDirection(config.clientToServer, "clientToServer");
+  validateDirection(config.serverToClient, "serverToClient");
+  return config;
 }
 
 }  // namespace
@@ -70,56 +59,10 @@ std::string formatChaosStats(const ChaosStats& s) {
   return out;
 }
 
-ChaosProxy::ChaosProxy(const ChaosConfig& config) : config_(config) {
-  if (config_.targetPort == 0) {
-    throw std::invalid_argument("ChaosProxy: targetPort must be set");
-  }
-  validateDirection(config_.clientToServer, "clientToServer");
-  validateDirection(config_.serverToClient, "serverToClient");
-
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) throwErrno("socket");
-  const int one = 1;
-  if (setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) <
-      0) {
-    throwErrno("setsockopt(SO_REUSEADDR)");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (inet_pton(AF_INET, config_.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("ChaosProxy: bad bind address " +
-                             config_.bindAddress);
-  }
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    throwErrno("bind");
-  }
-  if (listen(listenFd_, 64) < 0) throwErrno("listen");
-  setNonBlocking(listenFd_);
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    throwErrno("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  epollFd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epollFd_ < 0) throwErrno("epoll_create1");
-  wakeFd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakeFd_ < 0) throwErrno("eventfd");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listenFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wakeFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(wake)");
-  }
-}
+ChaosProxy::ChaosProxy(const ChaosConfig& config)
+    : config_(validated(config)),
+      target_(resolveEndpoint(config_.targetAddress, config_.targetPort)),
+      loop_("ChaosProxy", config_.bindAddress, config_.port, 64) {}
 
 ChaosProxy::~ChaosProxy() { closeAll(); }
 
@@ -130,27 +73,12 @@ void ChaosProxy::closeAll() {
   }
   links_.clear();
   fdIndex_.clear();
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
-  if (wakeFd_ >= 0) {
-    ::close(wakeFd_);
-    wakeFd_ = -1;
-  }
-  if (epollFd_ >= 0) {
-    ::close(epollFd_);
-    epollFd_ = -1;
-  }
+  loop_.close();
 }
 
 void ChaosProxy::stop() {
   stopRequested_.store(true, std::memory_order_release);
-  const int fd = wakeFd_;
-  if (fd >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
-  }
+  loop_.wake();
 }
 
 int ChaosProxy::computeWaitMs(double now) const {
@@ -165,44 +93,15 @@ int ChaosProxy::computeWaitMs(double now) const {
       wake = std::min(wake, at);
     }
   }
-  if (!std::isfinite(wake)) return -1;
-  if (wake <= now) return 0;
-  const double ms = std::ceil((wake - now) * 1000.0);
-  return ms >= 60000.0 ? 60000 : static_cast<int>(ms);
+  return EventLoop::waitMs(wake - now);
 }
 
 void ChaosProxy::run() {
   if (ran_) throw std::logic_error("ChaosProxy::run called twice");
   ran_ = true;
-  std::vector<epoll_event> events(64);
   std::vector<std::uint64_t> sweep;
   while (!stopRequested_.load(std::memory_order_acquire)) {
-    const int timeout = computeWaitMs(monotonicSeconds());
-    const int n = epoll_wait(epollFd_, events.data(),
-                             static_cast<int>(events.size()), timeout);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      logError() << "pscd_chaos: epoll_wait: " << std::strerror(errno);
-      break;
-    }
-    const double now = monotonicSeconds();
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      const std::uint32_t mask = events[i].events;
-      if (fd == wakeFd_) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const ssize_t r =
-            ::read(wakeFd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (fd == listenFd_) {
-        acceptConnections();
-        continue;
-      }
-      const auto it = fdIndex_.find(fd);
-      if (it == fdIndex_.end()) continue;  // torn down earlier this batch
-      handleEvent(it->second.first, it->second.second, mask, now);
-    }
+    if (!loop_.poll(computeWaitMs(monotonicSeconds()), *this)) break;
     // Flush every due chunk and re-arm interest; torn-down links drop
     // out of the id sweep via the find().
     sweep.clear();
@@ -220,111 +119,79 @@ void ChaosProxy::run() {
   closeAll();
 }
 
-void ChaosProxy::acceptConnections() {
-  while (true) {
-    const int cfd = accept4(listenFd_, nullptr, nullptr,
-                            SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (cfd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      logWarn() << "pscd_chaos: accept: " << std::strerror(errno);
-      return;
-    }
-    // Splice a fresh connection to the target. The target is the local
-    // daemon, so a blocking connect resolves immediately; the fd goes
-    // non-blocking right after.
-    const int sfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (sfd < 0) {
-      ::close(cfd);
-      ++stats_.connectFailures;
-      continue;
-    }
-    sockaddr_in target{};
-    target.sin_family = AF_INET;
-    target.sin_port = htons(config_.targetPort);
-    if (inet_pton(AF_INET, config_.targetAddress.c_str(),
-                  &target.sin_addr) != 1 ||
-        connect(sfd, reinterpret_cast<sockaddr*>(&target),
-                sizeof(target)) < 0) {
-      logWarn() << "pscd_chaos: cannot reach target "
-                << config_.targetAddress << ":" << config_.targetPort
-                << ": " << std::strerror(errno);
-      ::close(cfd);
-      ::close(sfd);
-      ++stats_.connectFailures;
-      continue;
-    }
-    setNonBlocking(sfd);
-    const int one = 1;
-    setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    setsockopt(sfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    Link link;
-    link.index = stats_.connections++;
-    link.clientFd = cfd;
-    link.serverFd = sfd;
-    const bool faulted = config_.faultConnections == 0 ||
-                         link.index < config_.faultConnections;
-    if (faulted) {
-      link.up.faults = config_.clientToServer;
-      link.down.faults = config_.serverToClient;
-      link.resetEnabled = config_.resetAfterClientBytes > 0;
-    }
-    // Independent jitter streams per connection and direction, all
-    // derived from the one seed.
-    std::uint64_t base =
-        config_.seed + 0x9e3779b97f4a7c15ull * (link.index + 1);
-    link.up.rngState = splitmix64(base);
-    link.down.rngState = splitmix64(base);
-    link.clientEvents = EPOLLIN;
-    link.serverEvents = EPOLLIN;
-
-    const std::uint64_t id = nextLinkId_++;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = cfd;
-    if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, cfd, &ev) < 0) {
-      ::close(cfd);
-      ::close(sfd);
-      continue;
-    }
-    ev.data.fd = sfd;
-    if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, sfd, &ev) < 0) {
-      epoll_ctl(epollFd_, EPOLL_CTL_DEL, cfd, nullptr);
-      ::close(cfd);
-      ::close(sfd);
-      continue;
-    }
-    fdIndex_[cfd] = {id, true};
-    fdIndex_[sfd] = {id, false};
-    links_.emplace(id, std::move(link));
+void ChaosProxy::onAccept(int cfd) {
+  // Splice a fresh connection to the target, resolved at construction.
+  // The target is the local daemon, so a blocking connect completes
+  // immediately; the fd goes non-blocking right after.
+  std::string error;
+  const int sfd = connectTo(target_, /*nonBlocking=*/true, &error);
+  if (sfd < 0) {
+    logWarn() << "pscd_chaos: cannot reach target: " << error;
+    ::close(cfd);
+    ++stats_.connectFailures;
+    return;
   }
+  setNoDelay(cfd);
+
+  Link link;
+  link.index = stats_.connections++;
+  link.clientFd = cfd;
+  link.serverFd = sfd;
+  const bool faulted = config_.faultConnections == 0 ||
+                       link.index < config_.faultConnections;
+  if (faulted) {
+    link.up.faults = config_.clientToServer;
+    link.down.faults = config_.serverToClient;
+    link.resetEnabled = config_.resetAfterClientBytes > 0;
+  }
+  // Independent jitter streams per connection and direction, all
+  // derived from the one seed.
+  std::uint64_t base =
+      config_.seed + 0x9e3779b97f4a7c15ull * (link.index + 1);
+  link.up.rngState = splitmix64(base);
+  link.down.rngState = splitmix64(base);
+
+  const std::uint64_t id = nextLinkId_++;
+  if (!loop_.add(cfd, EventLoop::kRead)) {
+    ::close(cfd);
+    ::close(sfd);
+    return;
+  }
+  if (!loop_.add(sfd, EventLoop::kRead)) {
+    loop_.remove(cfd);
+    ::close(cfd);
+    ::close(sfd);
+    return;
+  }
+  fdIndex_[cfd] = {id, true};
+  fdIndex_[sfd] = {id, false};
+  links_.emplace(id, std::move(link));
 }
 
-void ChaosProxy::handleEvent(std::uint64_t linkId, bool clientSide,
-                             std::uint32_t mask, double now) {
-  const auto it = links_.find(linkId);
-  if (it == links_.end()) return;
-  Link& link = it->second;
-  if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
+void ChaosProxy::onReady(int fd, unsigned ready) {
+  const auto it = fdIndex_.find(fd);
+  if (it == fdIndex_.end()) return;  // torn down earlier this batch
+  const auto [linkId, clientSide] = it->second;
+  Link& link = links_.at(linkId);
+  if ((ready & EventLoop::kHangup) != 0) {
     closeLink(linkId);
     return;
   }
-  if ((mask & EPOLLOUT) != 0) {
+  if ((ready & EventLoop::kWritable) != 0) {
     // This fd is the destination of the opposite direction's pipe; the
     // run-loop sweep retries the flush now that it is writable again.
     Pipe& dstPipe = clientSide ? link.down : link.up;
     dstPipe.dstWantWrite = false;
   }
-  if ((mask & EPOLLIN) != 0) pumpRead(linkId, clientSide, now);
+  if ((ready & EventLoop::kReadable) != 0) pumpRead(linkId, clientSide);
 }
 
-void ChaosProxy::pumpRead(std::uint64_t linkId, bool clientSide,
-                          double now) {
+void ChaosProxy::pumpRead(std::uint64_t linkId, bool clientSide) {
   Link& link = links_.at(linkId);
   Pipe& pipe = clientSide ? link.up : link.down;
   const int srcFd = clientSide ? link.clientFd : link.serverFd;
   char buffer[65536];
+  const double now = monotonicSeconds();
   while (!pipe.srcEof && !pipe.stalled && !pipe.truncated) {
     const ssize_t n = recv(srcFd, buffer, sizeof(buffer), 0);
     if (n == 0) {
@@ -450,18 +317,16 @@ void ChaosProxy::updateInterest(Link& link, bool clientSide) {
   const int fd = clientSide ? link.clientFd : link.serverFd;
   const Pipe& srcPipe = clientSide ? link.up : link.down;  // fd as source
   const Pipe& dstPipe = clientSide ? link.down : link.up;  // fd as dest
-  std::uint32_t events = 0;
+  unsigned interest = 0;
   if (!srcPipe.srcEof && !srcPipe.stalled && !srcPipe.truncated) {
-    events |= EPOLLIN;
+    interest |= EventLoop::kRead;
   }
-  if (dstPipe.dstWantWrite) events |= EPOLLOUT;
-  std::uint32_t& current = clientSide ? link.clientEvents : link.serverEvents;
-  if (events == current) return;
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.fd = fd;
-  epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev);
-  current = events;
+  if (dstPipe.dstWantWrite) interest |= EventLoop::kWrite;
+  unsigned& current =
+      clientSide ? link.clientInterest : link.serverInterest;
+  if (interest == current) return;
+  loop_.modify(fd, interest);
+  current = interest;
 }
 
 void ChaosProxy::resetLink(std::uint64_t linkId) {
@@ -488,7 +353,7 @@ void ChaosProxy::closeLink(std::uint64_t linkId) {
   Link& link = it->second;
   for (const int fd : {link.clientFd, link.serverFd}) {
     if (fd < 0) continue;
-    epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
+    loop_.remove(fd);
     ::close(fd);
     fdIndex_.erase(fd);
   }

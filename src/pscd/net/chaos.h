@@ -21,10 +21,14 @@
 // run reproduces the same injected faults, which is what lets
 // resilience tests assert exact counter values.
 //
-// The proxy is the same shape as the Daemon — its own epoll loop on the
-// caller's thread, non-blocking fds, run()/stop() lifecycle, every fd
-// closed before run() returns — so tests can host daemon + proxy on two
-// background threads and count /proc/self/fd to prove neither leaks.
+// The proxy runs on the same EventLoop as the Daemon (net/event_loop.h):
+// the loop owns the listener, the epoll set and the cross-thread wake;
+// the proxy keeps its two-fd links, their pipes and the fault schedule.
+// run() serves on the caller's thread until stop() and closes every fd
+// before returning, so tests can host daemon + proxy on two background
+// threads and count /proc/self/fd to prove neither leaks. The target is
+// resolved once, at construction, so a name such as "localhost" works
+// and a name that does not resolve throws there.
 #pragma once
 
 #include <atomic>
@@ -34,6 +38,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "pscd/net/event_loop.h"
 
 namespace pscd::net {
 
@@ -98,9 +104,10 @@ struct ChaosStats {
 /// One-line rendering for the pscd_chaos exit dump and test messages.
 std::string formatChaosStats(const ChaosStats& stats);
 
-class ChaosProxy {
+class ChaosProxy : private EventLoop::Handler {
  public:
-  /// Binds and listens immediately (throws std::runtime_error on socket
+  /// Resolves the target, binds and listens immediately (throws
+  /// std::runtime_error when the target does not resolve or on socket
   /// failure); forwards only once run() is called.
   explicit ChaosProxy(const ChaosConfig& config);
   ~ChaosProxy();
@@ -109,7 +116,7 @@ class ChaosProxy {
   ChaosProxy& operator=(const ChaosProxy&) = delete;
 
   /// The locally bound port (resolves port 0 to the kernel's choice).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
 
   /// Forwards until stop(); callable once. Closes every fd before
   /// returning.
@@ -149,18 +156,17 @@ class ChaosProxy {
     int serverFd = -1;
     bool resetEnabled = false;
     std::uint64_t clientBytesIn = 0;  // raw bytes read from the client
-    std::uint32_t clientEvents = 0;   // current epoll interest per side
-    std::uint32_t serverEvents = 0;
+    unsigned clientInterest = EventLoop::kRead;  // registered, per side
+    unsigned serverInterest = EventLoop::kRead;
     Pipe up;    // client -> server
     Pipe down;  // server -> client
   };
 
-  void acceptConnections();
-  void handleEvent(std::uint64_t linkId, bool clientSide,
-                   std::uint32_t mask, double now);
+  void onAccept(int fd) override;
+  void onReady(int fd, unsigned ready) override;
   /// Reads from one side, applying stall/truncate caps and queueing
   /// chunks with their release times. May reset the link.
-  void pumpRead(std::uint64_t linkId, bool clientSide, double now);
+  void pumpRead(std::uint64_t linkId, bool clientSide);
   /// Flushes due chunks toward the destination; returns false when the
   /// link was torn down.
   bool flushPipe(std::uint64_t linkId, bool upstream, double now);
@@ -169,7 +175,7 @@ class ChaosProxy {
   void resetLink(std::uint64_t linkId);
   void closeLink(std::uint64_t linkId);
   void closeAll();
-  /// epoll timeout until the nearest queued chunk becomes sendable, or
+  /// Poll timeout until the nearest queued chunk becomes sendable, or
   /// -1 when every queue is empty or blocked on the destination.
   int computeWaitMs(double now) const;
   /// True when both directions have delivered everything they ever
@@ -178,10 +184,8 @@ class ChaosProxy {
 
   ChaosConfig config_;
   ChaosStats stats_;
-  std::uint16_t port_ = 0;
-  int listenFd_ = -1;
-  int epollFd_ = -1;
-  int wakeFd_ = -1;
+  Endpoint target_;
+  EventLoop loop_;
   bool ran_ = false;
   std::uint64_t nextLinkId_ = 0;
   std::map<std::uint64_t, Link> links_;

@@ -1,8 +1,5 @@
 #include "pscd/net/client.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,14 +14,6 @@
 #include "pscd/util/wallclock.h"
 
 namespace pscd::net {
-
-namespace {
-
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 std::string_view wireErrorName(WireError error) {
   switch (error) {
@@ -43,66 +32,27 @@ std::string_view wireErrorName(WireError error) {
 }
 
 WireClient::WireClient(const std::string& host, std::uint16_t port)
-    : host_(host), port_(port) {
-  connectSocket();
+    : endpoint_(resolveEndpoint(host, port)) {
+  std::string message;
+  fd_ = connectTo(endpoint_, /*nonBlocking=*/false, &message);
+  if (fd_ < 0) throw std::runtime_error("WireClient: " + message);
 }
 
 WireClient::~WireClient() { close(); }
 
 WireClient::WireClient(WireClient&& other) noexcept
     : fd_(other.fd_),
-      host_(std::move(other.host_)),
-      port_(other.port_),
+      endpoint_(std::move(other.endpoint_)),
       nextSeq_(other.nextSeq_),
       in_(std::move(other.in_)),
       stats_(other.stats_) {
   other.fd_ = -1;
 }
 
-void WireClient::connectSocket() {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const std::string portText = std::to_string(port_);
-  const int rc = ::getaddrinfo(host_.c_str(), portText.c_str(), &hints,
-                               &results);
-  if (rc != 0) {
-    throw std::runtime_error("WireClient: cannot resolve " + host_ + ": " +
-                             gai_strerror(rc));
-  }
-  int fd = -1;
-  int lastErrno = ECONNREFUSED;
-  for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) {
-      lastErrno = errno;
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    lastErrno = errno;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(results);
-  if (fd < 0) {
-    errno = lastErrno;
-    throwErrno("WireClient: connect to " + host_ + ":" + portText);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  in_.clear();
-}
-
 bool WireClient::reconnect(std::string* message) {
-  try {
-    connectSocket();
-  } catch (const std::exception& e) {
-    *message = e.what();
-    return false;
-  }
+  fd_ = connectTo(endpoint_, /*nonBlocking=*/false, message);
+  if (fd_ < 0) return false;
+  in_.clear();
   ++stats_.reconnects;
   return true;
 }
@@ -175,9 +125,7 @@ WireError WireClient::readFrame(double deadline, WireFrame* out,
       pollfd pfd{};
       pfd.fd = fd_;
       pfd.events = POLLIN;
-      const double ms = std::ceil(remaining * 1000.0);
-      const int timeoutMs = ms >= 60000.0 ? 60000 : static_cast<int>(ms);
-      const int pr = ::poll(&pfd, 1, timeoutMs < 1 ? 1 : timeoutMs);
+      const int pr = ::poll(&pfd, 1, EventLoop::waitMs(remaining));
       if (pr < 0) {
         if (errno == EINTR) continue;
         *message = std::string("poll: ") + std::strerror(errno);

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "pscd/net/event_loop.h"
 #include "pscd/net/wire.h"
 #include "pscd/util/types.h"
 
@@ -95,9 +96,9 @@ struct ClientStats {
 class WireClient {
  public:
   /// Connects to host:port; `host` may be a dotted-quad IPv4 literal or
-  /// a name resolvable to one ("localhost"). Throws std::runtime_error
-  /// on resolution or connect failure. Sets TCP_NODELAY — the protocol
-  /// is request/response, so Nagle only adds latency.
+  /// a name resolvable to one ("localhost"), resolved once here and
+  /// reused by reconnects. Throws std::runtime_error on resolution or
+  /// connect failure. Sets TCP_NODELAY (see connectTo).
   WireClient(const std::string& host, std::uint16_t port);
   ~WireClient();
 
@@ -141,9 +142,7 @@ class WireClient {
   void resetStats() { stats_ = ClientStats{}; }
 
  private:
-  /// Resolves host_ and establishes fd_; throws on failure.
-  void connectSocket();
-  /// connectSocket without the throw; counts the reconnect on success.
+  /// Re-establishes fd_ to endpoint_; counts the reconnect on success.
   bool reconnect(std::string* message);
   void sendAll(const std::string& bytes);
   bool sendAllNoThrow(const std::string& bytes, std::string* message);
@@ -161,8 +160,7 @@ class WireClient {
   void close();
 
   int fd_ = -1;
-  std::string host_;
-  std::uint16_t port_ = 0;
+  Endpoint endpoint_;
   std::uint32_t nextSeq_ = 1;
   std::string in_;  // bytes received but not yet consumed by a decode
   ClientStats stats_;

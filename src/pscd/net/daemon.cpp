@@ -1,18 +1,11 @@
 #include "pscd/net/daemon.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -25,16 +18,12 @@ namespace pscd::net {
 
 namespace {
 
-[[noreturn]] void throwErrno(const std::string& what) {
-  throw std::runtime_error("Daemon: " + what + ": " +
-                           std::strerror(errno));
-}
-
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throwErrno("fcntl(O_NONBLOCK)");
+const DaemonConfig& validated(const DaemonConfig& config) {
+  if (config.idleTimeoutSeconds < 0 || config.readTimeoutSeconds < 0 ||
+      config.writeTimeoutSeconds < 0 || config.drainSeconds < 0) {
+    throw std::invalid_argument("Daemon: negative timeout in config");
   }
+  return config;
 }
 
 }  // namespace
@@ -65,56 +54,14 @@ std::string formatDaemonStats(const DaemonStats& s) {
 
 Daemon::Daemon(DistributionService& service, const Clock& clock,
                WireSink& sink, const DaemonConfig& config)
-    : service_(service), clock_(clock), sink_(sink), config_(config) {
-  if (config_.idleTimeoutSeconds < 0 || config_.readTimeoutSeconds < 0 ||
-      config_.writeTimeoutSeconds < 0 || config_.drainSeconds < 0) {
-    throw std::invalid_argument("Daemon: negative timeout in config");
-  }
+    : service_(service),
+      clock_(clock),
+      sink_(sink),
+      config_(validated(config)),
+      loop_("Daemon", config_.bindAddress, config_.port, config_.backlog) {
   timersEnabled_ = config_.idleTimeoutSeconds > 0 ||
                    config_.readTimeoutSeconds > 0 ||
                    config_.writeTimeoutSeconds > 0;
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) throwErrno("socket");
-  const int one = 1;
-  if (setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) <
-      0) {
-    throwErrno("setsockopt(SO_REUSEADDR)");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (inet_pton(AF_INET, config_.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("Daemon: bad bind address " +
-                             config_.bindAddress);
-  }
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    throwErrno("bind");
-  }
-  if (listen(listenFd_, config_.backlog) < 0) throwErrno("listen");
-  setNonBlocking(listenFd_);
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    throwErrno("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  epollFd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epollFd_ < 0) throwErrno("epoll_create1");
-  wakeFd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakeFd_ < 0) throwErrno("eventfd");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listenFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wakeFd_;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev) < 0) {
-    throwErrno("epoll_ctl(wake)");
-  }
 }
 
 Daemon::~Daemon() { closeAll(); }
@@ -125,32 +72,12 @@ void Daemon::closeAll() {
     ++stats_.closed;
   }
   conns_.clear();
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
-  if (wakeFd_ >= 0) {
-    ::close(wakeFd_);
-    wakeFd_ = -1;
-  }
-  if (epollFd_ >= 0) {
-    ::close(epollFd_);
-    epollFd_ = -1;
-  }
-}
-
-void Daemon::wakeLoop() {
-  const int fd = wakeFd_;
-  if (fd >= 0) {
-    const std::uint64_t one = 1;
-    // Best-effort: the loop also rechecks the mode on every wakeup.
-    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
-  }
+  loop_.close();
 }
 
 void Daemon::stop() {
   stopMode_.store(kStopNow, std::memory_order_release);
-  wakeLoop();
+  loop_.wake();
 }
 
 void Daemon::stopDrain() {
@@ -158,22 +85,19 @@ void Daemon::stopDrain() {
   int expected = kRunning;
   stopMode_.compare_exchange_strong(expected, kStopDrain,
                                     std::memory_order_acq_rel);
-  wakeLoop();
+  loop_.wake();
 }
 
 void Daemon::requestStatsDump() {
   dumpRequested_.store(true, std::memory_order_release);
-  wakeLoop();
+  loop_.wake();
 }
 
 void Daemon::beginDrain() {
   draining_ = true;
   drainDeadline_ = clock_.now() + config_.drainSeconds;
-  // Stop accepting but keep the fd so the port stays reserved until
-  // run() returns.
-  if (listenFd_ >= 0) {
-    epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
-  }
+  // Stop accepting but keep the port reserved until run() returns.
+  loop_.withdrawListener();
   logInfo() << "pscd_daemon: draining " << conns_.size()
             << " connection(s), budget " << config_.drainSeconds << "s";
 }
@@ -185,16 +109,12 @@ int Daemon::computeWaitMs() {
     if (!wheel_.empty()) wait = std::min(wait, wheel_.nextWakeSeconds(now));
     if (draining_) wait = std::min(wait, drainDeadline_ - now);
   }
-  if (!std::isfinite(wait)) return -1;  // fault-free default: block
-  if (wait <= 0.0) return 0;
-  const double ms = std::ceil(wait * 1000.0);
-  return ms >= 60000.0 ? 60000 : static_cast<int>(ms);
+  return EventLoop::waitMs(wait);  // +inf, the fault-free default, blocks
 }
 
 void Daemon::run() {
   if (ran_) throw std::logic_error("Daemon::run called twice");
   ran_ = true;
-  std::vector<epoll_event> events(64);
   while (true) {
     const int mode = stopMode_.load(std::memory_order_acquire);
     if (mode == kStopNow) break;
@@ -203,37 +123,7 @@ void Daemon::run() {
         (conns_.empty() || clock_.now() >= drainDeadline_)) {
       break;
     }
-    const int n = epoll_wait(epollFd_, events.data(),
-                             static_cast<int>(events.size()),
-                             computeWaitMs());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      logError() << "pscd_daemon: epoll_wait: " << std::strerror(errno);
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      const std::uint32_t mask = events[i].events;
-      if (fd == wakeFd_) {
-        std::uint64_t drained = 0;
-        [[maybe_unused]] const ssize_t r =
-            ::read(wakeFd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (fd == listenFd_) {
-        acceptConnections();
-        continue;
-      }
-      const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // closed earlier in this batch
-      Connection& conn = it->second;
-      if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-        closeConnection(fd);
-        continue;
-      }
-      if ((mask & EPOLLOUT) != 0 && !flushWrites(conn)) continue;
-      if ((mask & EPOLLIN) != 0) handleReadable(conn);
-    }
+    if (!loop_.poll(computeWaitMs(), *this)) break;
     if (dumpRequested_.exchange(false, std::memory_order_acq_rel)) {
       logInfo() << "pscd_daemon: " << formatDaemonStats(stats_);
     }
@@ -301,44 +191,42 @@ void Daemon::reapExpired(double now) {
   }
 }
 
-void Daemon::acceptConnections() {
-  while (true) {
-    const int fd = accept4(listenFd_, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      logWarn() << "pscd_daemon: accept: " << std::strerror(errno);
-      return;
-    }
-    if (conns_.size() >= config_.maxConnections) {
-      ++stats_.acceptRejected;
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    // Best-effort: latency optimization, not correctness.
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (config_.sendBufferBytes > 0) {
-      // Best-effort: the kernel clamps to its floor, which is exactly
-      // what the write-deadline tests want (a tiny send window).
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.sendBufferBytes,
-                 sizeof(config_.sendBufferBytes));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    Connection conn;
-    conn.fd = fd;
-    if (timersEnabled_) conn.lastActivity = clock_.now();
-    const auto [it, inserted] = conns_.emplace(fd, std::move(conn));
-    ++stats_.accepted;
-    if (timersEnabled_) armDeadline(it->second);
+void Daemon::onAccept(int fd) {
+  if (conns_.size() >= config_.maxConnections) {
+    ++stats_.acceptRejected;
+    ::close(fd);
+    return;
   }
+  // Best-effort: latency optimization, not correctness.
+  setNoDelay(fd);
+  if (config_.sendBufferBytes > 0) {
+    // Best-effort: the kernel clamps to its floor, which is exactly
+    // what the write-deadline tests want (a tiny send window).
+    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.sendBufferBytes,
+               sizeof(config_.sendBufferBytes));
+  }
+  if (!loop_.add(fd, EventLoop::kRead)) {
+    ::close(fd);
+    return;
+  }
+  Connection conn;
+  conn.fd = fd;
+  if (timersEnabled_) conn.lastActivity = clock_.now();
+  const auto [it, inserted] = conns_.emplace(fd, std::move(conn));
+  ++stats_.accepted;
+  if (timersEnabled_) armDeadline(it->second);
+}
+
+void Daemon::onReady(int fd, unsigned ready) {
+  const auto it = conns_.find(fd);
+  if (it == conns_.end()) return;  // closed earlier in this batch
+  Connection& conn = it->second;
+  if ((ready & EventLoop::kHangup) != 0) {
+    closeConnection(fd);
+    return;
+  }
+  if ((ready & EventLoop::kWritable) != 0 && !flushWrites(conn)) return;
+  if ((ready & EventLoop::kReadable) != 0) handleReadable(conn);
 }
 
 void Daemon::handleReadable(Connection& conn) {
@@ -535,10 +423,8 @@ bool Daemon::flushWrites(Connection& conn) {
 }
 
 bool Daemon::updateInterest(Connection& conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN | (conn.wantWrite ? EPOLLOUT : 0u);
-  ev.data.fd = conn.fd;
-  if (epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn.fd, &ev) < 0) {
+  if (!loop_.modify(conn.fd, EventLoop::kRead |
+                                 (conn.wantWrite ? EventLoop::kWrite : 0u))) {
     closeConnection(conn.fd);
     return false;
   }
@@ -553,7 +439,7 @@ void Daemon::closeConnection(int fd) {
     // it closed — the whole point of stopDrain() over stop().
     ++stats_.drainFlushed;
   }
-  epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
+  loop_.remove(fd);
   ::close(fd);
   conns_.erase(it);
   ++stats_.closed;

@@ -1,9 +1,11 @@
-// The networked pscd serving tier: a single-threaded, non-blocking
-// epoll event loop that accepts TCP connections, runs a per-connection
-// frame state machine (read -> decode -> dispatch -> write-back), and
-// hosts a DistributionService behind the WireClock/WireSink runtime
-// seam — the engine/strategy/cache decision layer runs unchanged from
-// the simulator (see core/runtime.h and DESIGN.md §13).
+// The networked pscd serving tier: a single-threaded server on the
+// shared EventLoop (net/event_loop.h) that runs a per-connection frame
+// state machine (read -> decode -> dispatch -> write-back) and hosts a
+// DistributionService behind the WireClock/WireSink runtime seam — the
+// engine/strategy/cache decision layer runs unchanged from the
+// simulator (see core/runtime.h and DESIGN.md §13). The loop accepts,
+// multiplexes and wakes; the daemon keeps the policy: the frame state
+// machine, connection deadlines, load shedding and the drain.
 //
 // Connection state machine (per fd):
 //
@@ -23,7 +25,7 @@
 //
 // Threading: the loop runs entirely on the thread that calls run().
 // stop() is the one cross-thread entry point — it flips an atomic and
-// wakes the loop through an eventfd. All fds are closed by the time
+// wakes the loop (EventLoop::wake). All fds are closed by the time
 // run() returns, so a joined daemon holds no kernel resources (the
 // loopback test counts /proc/self/fd entries to prove it).
 #pragma once
@@ -37,6 +39,7 @@
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/service.h"
+#include "pscd/net/event_loop.h"
 #include "pscd/net/timer_wheel.h"
 #include "pscd/net/wire.h"
 #include "pscd/net/wire_runtime.h"
@@ -125,7 +128,7 @@ struct DaemonStats {
 /// stats dump, and gtest failure messages).
 std::string formatDaemonStats(const DaemonStats& stats);
 
-class Daemon {
+class Daemon : private EventLoop::Handler {
  public:
   /// Binds and listens immediately (throws std::runtime_error with the
   /// errno string on any socket failure), but serves only once run() is
@@ -138,7 +141,7 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// The locally bound port (resolves port 0 to the kernel's choice).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
 
   /// Serves until stop(); callable once. Closes every fd before
   /// returning.
@@ -154,8 +157,8 @@ class Daemon {
   /// stopDrain() after stop() is a no-op.
   void stopDrain();
 
-  /// Thread-safe (and async-signal-safe modulo the atomic store +
-  /// eventfd write) request for the loop to log formatDaemonStats(),
+  /// Thread-safe (and async-signal-safe: an atomic store plus
+  /// EventLoop::wake) request for the loop to log formatDaemonStats(),
   /// wired to SIGUSR1 in pscd_daemon.
   void requestStatsDump();
 
@@ -181,7 +184,8 @@ class Daemon {
 
   enum StopMode { kRunning = 0, kStopDrain = 1, kStopNow = 2 };
 
-  void acceptConnections();
+  void onAccept(int fd) override;
+  void onReady(int fd, unsigned ready) override;
   void handleReadable(Connection& conn);
   /// Returns false when the connection was closed.
   bool flushWrites(Connection& conn);
@@ -199,21 +203,17 @@ class Daemon {
   /// Closes every connection whose deadline has passed, classifying the
   /// reap (write > read > idle) into DaemonStats.
   void reapExpired(double now);
-  /// epoll_wait timeout honoring the wheel and the drain deadline; -1
-  /// when neither is pending (the fault-free default).
+  /// Poll timeout honoring the wheel and the drain deadline; -1 when
+  /// neither is pending (the fault-free default, read with no clock).
   int computeWaitMs();
   void beginDrain();
-  void wakeLoop();
 
   DistributionService& service_;
   const Clock& clock_;
   WireSink& sink_;
   DaemonConfig config_;
   DaemonStats stats_;
-  std::uint16_t port_ = 0;
-  int listenFd_ = -1;
-  int epollFd_ = -1;
-  int wakeFd_ = -1;
+  EventLoop loop_;
   bool ran_ = false;
   bool timersEnabled_ = false;
   bool draining_ = false;

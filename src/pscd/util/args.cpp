@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -114,13 +115,28 @@ double ArgParser::optionDouble(std::string_view name) const {
 }
 
 std::int64_t ArgParser::optionInt(std::string_view name) const {
-  const std::string& raw = option(name);
+  return optionInt(name, std::numeric_limits<std::int64_t>::min(),
+                   std::numeric_limits<std::int64_t>::max());
+}
+
+std::int64_t ArgParser::optionInt(std::string_view name, std::int64_t min,
+                                  std::int64_t max) const {
+  return parseInt("option --" + std::string(name), option(name), min, max);
+}
+
+std::int64_t ArgParser::parseInt(std::string_view what, std::string_view raw,
+                                 std::int64_t min, std::int64_t max) {
   std::int64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(raw.data(), raw.data() + raw.size(), v);
   if (ec != std::errc() || ptr != raw.data() + raw.size()) {
-    throw std::invalid_argument("option --" + std::string(name) +
-                                ": not an integer: " + raw);
+    throw std::invalid_argument(std::string(what) +
+                                ": not an integer: " + std::string(raw));
+  }
+  if (v < min || v > max) {
+    throw std::invalid_argument(
+        std::string(what) + ": out of range [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]: " + std::string(raw));
   }
   return v;
 }

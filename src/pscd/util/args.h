@@ -31,6 +31,17 @@ class ArgParser {
   const std::string& option(std::string_view name) const;
   double optionDouble(std::string_view name) const;
   std::int64_t optionInt(std::string_view name) const;
+  /// optionInt limited to [min, max]: a value outside the range throws
+  /// std::invalid_argument just as a malformed one does, so a port or a
+  /// count never wraps on its way into a narrower or unsigned field.
+  std::int64_t optionInt(std::string_view name, std::int64_t min,
+                         std::int64_t max) const;
+
+  /// The same range-checked read for a number that is not an option of
+  /// its own (the PORT inside --connect HOST:PORT); `what` names it in
+  /// the error.
+  static std::int64_t parseInt(std::string_view what, std::string_view raw,
+                               std::int64_t min, std::int64_t max);
 
   const std::string& error() const { return error_; }
   std::string help() const;

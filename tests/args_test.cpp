@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace pscd {
 namespace {
 
@@ -113,6 +118,64 @@ TEST(ArgsTest, EmbeddedJunkBytesAreJustStrings) {
   EXPECT_EQ(p.optionInt("count"), 9223372036854775807ll);
   ASSERT_TRUE(parse(p, {"--count", "9223372036854775808"}));  // overflow
   EXPECT_THROW(p.optionInt("count"), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `read` throws ("" if none).
+template <typename Read>
+std::string rejection(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgsTest, RangedIntAcceptsItsBoundsAndRejectsBeyond) {
+  auto p = makeParser();
+  ASSERT_TRUE(parse(p, {}));
+  EXPECT_EQ(p.optionInt("count", 1, 10), 3);  // the default is range-checked
+  EXPECT_NE(rejection([&] { p.optionInt("count", 4, 10); }), "");
+  ASSERT_TRUE(parse(p, {"--count", "0"}));
+  EXPECT_EQ(p.optionInt("count", 0, 65535), 0);
+  ASSERT_TRUE(parse(p, {"--count", "65535"}));
+  EXPECT_EQ(p.optionInt("count", 0, 65535), 65535);
+  ASSERT_TRUE(parse(p, {"--count", "65536"}));
+  EXPECT_EQ(rejection([&] { p.optionInt("count", 0, 65535); }),
+            "option --count: out of range [0, 65535]: 65536");
+  ASSERT_TRUE(parse(p, {"--count=70000"}));
+  EXPECT_NE(rejection([&] { p.optionInt("count", 0, 65535); }), "");
+  ASSERT_TRUE(parse(p, {"--count", "abc"}));  // malformed stays malformed
+  EXPECT_EQ(rejection([&] { p.optionInt("count", 0, 65535); }),
+            "option --count: not an integer: abc");
+}
+
+TEST(ArgsTest, RangedIntRejectsNegativesForUnsignedFields) {
+  auto p = makeParser();
+  ASSERT_TRUE(parse(p, {"--count", "-1"}));
+  EXPECT_EQ(p.optionInt("count"), -1);  // the unranged read is unchanged
+  EXPECT_NE(rejection([&] { p.optionInt("count", 0, 65535); }), "");
+  EXPECT_NE(rejection([&] {
+              p.optionInt("count", 1,
+                          std::numeric_limits<std::int64_t>::max());
+            }),
+            "");
+  ASSERT_TRUE(parse(p, {"--count", "-9223372036854775808"}));
+  EXPECT_NE(rejection([&] { p.optionInt("count", 0, 1); }), "");
+}
+
+TEST(ArgsTest, ParseIntNamesTheValueItRejects) {
+  EXPECT_EQ(ArgParser::parseInt("port", "9", 1, 65535), 9);
+  EXPECT_EQ(ArgParser::parseInt("port", "65535", 1, 65535), 65535);
+  EXPECT_EQ(rejection([] { ArgParser::parseInt("port", "70001", 1, 65535); }),
+            "port: out of range [1, 65535]: 70001");
+  EXPECT_NE(rejection([] { ArgParser::parseInt("port", "0", 1, 65535); }), "");
+  EXPECT_NE(rejection([] { ArgParser::parseInt("port", "-1", 1, 65535); }),
+            "");
+  EXPECT_EQ(rejection([] { ArgParser::parseInt("port", "", 1, 65535); }),
+            "port: not an integer: ");
+  EXPECT_NE(rejection([] { ArgParser::parseInt("port", "9x", 1, 65535); }),
+            "");
 }
 
 TEST(ArgsTest, ReparseResetsState) {

@@ -482,6 +482,83 @@ TEST(ChaosResilience, FullFaultedScenarioLeaksNoFds) {
   EXPECT_EQ(countOpenFds(), before);
 }
 
+TEST(ChaosResilience, TimedPathDelaysThrottlesAndCountsEveryByte) {
+  // Latency, jitter and the byte throttle are released by the proxy's
+  // wait timeout, not by a socket event, so this pins the timed path.
+  std::vector<WireFrame> frames(3);
+  frames[0].body = SubscribeBody{0, 1, 1};
+  frames[1].body = PublishBody{1, 1, 64};
+  frames[2].body = RequestBody{0, 1};
+  WireFrame reply;
+  reply.body = ResponseBody{};
+  const std::uint64_t responseBytes = encodeFrame(reply).size();
+
+  // Large enough that dropping either the latency or the pacing takes
+  // the run under minSeconds, even with the 1 ms timeout granularity.
+  ChaosDirection faults;
+  faults.latencySeconds = 0.05;
+  faults.jitterSeconds = 0.01;
+  faults.bytesPerSecond = 1000.0;
+  std::uint64_t sentBytes = 0;
+  double minSeconds = 0.0;  // each byte waits out latency + its pacing slot
+  for (const WireFrame& frame : frames) {
+    const std::uint64_t request = encodeFrame(frame).size();
+    sentBytes += request;
+    minSeconds += 2 * faults.latencySeconds +
+                  static_cast<double>(request - 1 + responseBytes - 1) /
+                      faults.bytesPerSecond;
+  }
+
+  const auto callAll = [&frames](std::uint16_t port) {
+    WireClient client("127.0.0.1", port);
+    std::vector<ResponseBody> responses;
+    for (const WireFrame& frame : frames) {
+      responses.push_back(client.call(frame));
+    }
+    return responses;
+  };
+
+  // Oracle: the same calls straight to an identically configured daemon.
+  std::vector<ResponseBody> expected;
+  {
+    ServeHost host(smallHostConfig(), DaemonConfig{});
+    std::thread loop([&host] { host.daemon().run(); });
+    expected = callAll(host.daemon().port());
+    host.daemon().stop();
+    loop.join();
+  }
+
+  const auto runProxied = [&] {
+    ServeHost host(smallHostConfig(), DaemonConfig{});
+    std::thread daemonLoop([&host] { host.daemon().run(); });
+    ChaosConfig config;
+    config.targetPort = host.daemon().port();
+    config.seed = 11;
+    config.clientToServer = faults;
+    config.serverToClient = faults;
+    ChaosProxy proxy(config);
+    std::thread proxyLoop([&proxy] { proxy.run(); });
+
+    const double start = monotonicSeconds();
+    const std::vector<ResponseBody> got = callAll(proxy.port());
+    const double elapsed = monotonicSeconds() - start;
+
+    proxy.stop();
+    proxyLoop.join();
+    host.daemon().stop();
+    daemonLoop.join();
+    EXPECT_TRUE(got == expected);
+    EXPECT_GE(elapsed, minSeconds);
+    EXPECT_EQ(proxy.stats().bytesUpstream, sentBytes);
+    EXPECT_EQ(proxy.stats().bytesDownstream, frames.size() * responseBytes);
+    return proxy.stats();
+  };
+  const ChaosStats first = runProxied();
+  const ChaosStats second = runProxied();
+  EXPECT_TRUE(first == second) << formatChaosStats(first) << "\nvs "
+                               << formatChaosStats(second);
+}
+
 TEST(ChaosResilience, ChaosConfigIsValidated) {
   EXPECT_THROW(ChaosProxy{ChaosConfig{}}, std::invalid_argument);
   ChaosConfig negative;
@@ -506,6 +583,40 @@ TEST(ClientResolve, LocalhostHostnameConnects) {
 
 TEST(ClientResolve, UnresolvableHostThrows) {
   EXPECT_THROW(WireClient("no.such.host.invalid", 1), std::runtime_error);
+}
+
+// The proxy resolves its target the same way, once, at construction.
+
+TEST(ChaosResilience, LocalhostTargetForwardsAPublish) {
+  ServeHost host(smallHostConfig(), DaemonConfig{});
+  std::thread daemonLoop([&host] { host.daemon().run(); });
+  ChaosConfig config;
+  config.targetAddress = "localhost";
+  config.targetPort = host.daemon().port();
+  ChaosProxy proxy(config);
+  std::thread proxyLoop([&proxy] { proxy.run(); });
+  WireFrame frame;
+  frame.body = PublishBody{1, 1, 64};
+  CallResult result;
+  {
+    WireClient client("127.0.0.1", proxy.port());
+    result = client.call(frame, CallOptions{.deadlineSeconds = 5.0});
+  }
+  proxy.stop();
+  proxyLoop.join();
+  host.daemon().stop();
+  daemonLoop.join();
+  EXPECT_TRUE(result.ok()) << result.message;
+  EXPECT_EQ(proxy.stats().connections, 1u);
+  EXPECT_EQ(proxy.stats().connectFailures, 0u);
+  EXPECT_EQ(host.daemon().stats().framesHandled, 1u);
+}
+
+TEST(ChaosResilience, UnresolvableTargetThrowsFromTheConstructor) {
+  ChaosConfig config;
+  config.targetAddress = "no.such.host.invalid";
+  config.targetPort = 1;
+  EXPECT_THROW(ChaosProxy{config}, std::runtime_error);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +20,8 @@
 #include "pscd/util/args.h"
 
 namespace {
+
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 
 pscd::net::ChaosProxy* g_proxy = nullptr;
 
@@ -64,15 +67,16 @@ int main(int argc, char** argv) {
   try {
     pscd::net::ChaosConfig config;
     config.bindAddress = args.option("bind");
-    config.port = static_cast<std::uint16_t>(args.optionInt("port"));
+    config.port =
+        static_cast<std::uint16_t>(args.optionInt("port", 0, 65535));
     const std::string connect = args.option("connect");
     const std::size_t colon = connect.rfind(':');
     if (connect.empty() || colon == std::string::npos) {
       throw std::invalid_argument("--connect must be HOST:PORT");
     }
     config.targetAddress = connect.substr(0, colon);
-    config.targetPort = static_cast<std::uint16_t>(
-        std::stoul(connect.substr(colon + 1)));
+    config.targetPort = static_cast<std::uint16_t>(pscd::ArgParser::parseInt(
+        "option --connect: port", connect.substr(colon + 1), 1, 65535));
     config.seed = static_cast<std::uint64_t>(args.optionInt("seed"));
     config.clientToServer.latencySeconds =
         args.optionDouble("latency-ms") / 1000.0;
@@ -80,14 +84,14 @@ int main(int argc, char** argv) {
         args.optionDouble("jitter-ms") / 1000.0;
     config.clientToServer.bytesPerSecond = args.optionDouble("bps");
     config.clientToServer.stallAfterBytes =
-        static_cast<std::uint64_t>(args.optionInt("stall-bytes"));
-    config.clientToServer.truncateAfterBytes =
-        static_cast<std::uint64_t>(args.optionInt("truncate-bytes"));
+        static_cast<std::uint64_t>(args.optionInt("stall-bytes", 0, kI64Max));
+    config.clientToServer.truncateAfterBytes = static_cast<std::uint64_t>(
+        args.optionInt("truncate-bytes", 0, kI64Max));
     config.serverToClient = config.clientToServer;
     config.resetAfterClientBytes =
-        static_cast<std::uint64_t>(args.optionInt("reset-bytes"));
-    config.faultConnections =
-        static_cast<std::uint32_t>(args.optionInt("fault-conns"));
+        static_cast<std::uint64_t>(args.optionInt("reset-bytes", 0, kI64Max));
+    config.faultConnections = static_cast<std::uint32_t>(args.optionInt(
+        "fault-conns", 0, std::numeric_limits<std::uint32_t>::max()));
 
     pscd::net::ChaosProxy proxy(config);
     g_proxy = &proxy;

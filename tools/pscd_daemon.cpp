@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "pscd/cache/strategy_factory.h"
@@ -21,6 +22,9 @@
 #include "pscd/util/args.h"
 
 namespace {
+
+constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 
 pscd::net::Daemon* g_daemon = nullptr;
 bool g_drainOnTerm = false;
@@ -83,20 +87,21 @@ int main(int argc, char** argv) {
   try {
     pscd::net::ServeHostConfig hostConfig;
     hostConfig.numProxies =
-        static_cast<std::uint32_t>(args.optionInt("proxies"));
+        static_cast<std::uint32_t>(args.optionInt("proxies", 1, kU32Max));
     hostConfig.numTransitNodes =
-        static_cast<std::uint32_t>(args.optionInt("transit"));
+        static_cast<std::uint32_t>(args.optionInt("transit", 0, kU32Max));
     hostConfig.networkSeed = static_cast<std::uint64_t>(args.optionInt("seed"));
     hostConfig.strategy = pscd::parseStrategyKind(args.option("strategy"));
     hostConfig.beta = args.optionDouble("beta");
     hostConfig.capacityPerProxy =
-        static_cast<pscd::Bytes>(args.optionInt("capacity"));
+        static_cast<pscd::Bytes>(args.optionInt("capacity", 0, kI64Max));
 
     pscd::net::DaemonConfig daemonConfig;
     daemonConfig.bindAddress = args.option("bind");
-    daemonConfig.port = static_cast<std::uint16_t>(args.optionInt("port"));
-    daemonConfig.maxConnections =
-        static_cast<std::size_t>(args.optionInt("max-connections"));
+    daemonConfig.port =
+        static_cast<std::uint16_t>(args.optionInt("port", 0, 65535));
+    daemonConfig.maxConnections = static_cast<std::size_t>(
+        args.optionInt("max-connections", 1, kI64Max));
     daemonConfig.idleTimeoutSeconds =
         args.optionDouble("idle-timeout-ms") / 1000.0;
     daemonConfig.readTimeoutSeconds =
@@ -104,7 +109,7 @@ int main(int argc, char** argv) {
     daemonConfig.writeTimeoutSeconds =
         args.optionDouble("write-timeout-ms") / 1000.0;
     daemonConfig.shedThreshold =
-        static_cast<std::size_t>(args.optionInt("shed"));
+        static_cast<std::size_t>(args.optionInt("shed", 0, kI64Max));
     const double drainMs = args.optionDouble("drain-ms");
     if (drainMs > 0) daemonConfig.drainSeconds = drainMs / 1000.0;
 
