@@ -38,13 +38,19 @@ void ContentDistributionEngine::restartProxy(ProxyId proxy, bool warm) {
   proxies_[proxy] = makeStrategy(config_.strategy, strategyParams_[proxy]);
 }
 
+const ContentDistributionEngine::PageState*
+ContentDistributionEngine::findPage(PageId page) const {
+  const auto it = pages_.find(page);
+  return it == pages_.end() ? nullptr : &it->second;
+}
+
 const ContentDistributionEngine::PageState&
 ContentDistributionEngine::pageState(PageId page) const {
-  const auto it = pages_.find(page);
-  if (it == pages_.end()) {
+  const PageState* state = findPage(page);
+  if (state == nullptr) {
     throw std::out_of_range("ContentDistributionEngine: unknown page");
   }
-  return it->second;
+  return *state;
 }
 
 PSCD_HOT std::uint32_t ContentDistributionEngine::matchCount(

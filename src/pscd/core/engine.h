@@ -137,6 +137,10 @@ class ContentDistributionEngine {
   /// warm restart keeps the strategy untouched.
   void restartProxy(ProxyId proxy, bool warm);
 
+  /// True once `page` has been published: the non-throwing check a
+  /// server makes before request(), latestVersion() or pageSize().
+  bool published(PageId page) const { return findPage(page) != nullptr; }
+
   /// Latest published version/size of a page; throws if never published.
   Version latestVersion(PageId page) const;
   Bytes pageSize(PageId page) const;
@@ -159,6 +163,9 @@ class ContentDistributionEngine {
     std::vector<Notification> matches;
   };
 
+  /// The page's state, or nullptr if it was never published.
+  const PageState* findPage(PageId page) const;
+  /// findPage() that throws std::out_of_range for an unknown page.
   const PageState& pageState(PageId page) const;
   std::uint32_t matchCount(const PageState& state, ProxyId proxy) const;
 

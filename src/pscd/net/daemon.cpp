@@ -9,8 +9,8 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "pscd/util/check.h"
 #include "pscd/util/log.h"
 #include "pscd/util/rng.h"
 
@@ -72,6 +72,7 @@ void Daemon::closeAll() {
     ++stats_.closed;
   }
   conns_.clear();
+  deadlines_.clear();
   loop_.close();
 }
 
@@ -103,13 +104,12 @@ void Daemon::beginDrain() {
 }
 
 int Daemon::computeWaitMs() {
-  double wait = std::numeric_limits<double>::infinity();
-  if (!wheel_.empty() || draining_) {
-    const double now = clock_.now();
-    if (!wheel_.empty()) wait = std::min(wait, wheel_.nextWakeSeconds(now));
-    if (draining_) wait = std::min(wait, drainDeadline_ - now);
-  }
-  return EventLoop::waitMs(wait);  // +inf, the fault-free default, blocks
+  double wake = deadlines_.empty() ? std::numeric_limits<double>::infinity()
+                                   : deadlines_.begin()->first;
+  if (draining_) wake = std::min(wake, drainDeadline_);
+  // Nothing pending, the fault-free default: block without a clock read.
+  if (std::isinf(wake)) return -1;
+  return EventLoop::waitMs(wake - clock_.now());
 }
 
 void Daemon::run() {
@@ -127,7 +127,7 @@ void Daemon::run() {
     if (dumpRequested_.exchange(false, std::memory_order_acq_rel)) {
       logInfo() << "pscd_daemon: " << formatDaemonStats(stats_);
     }
-    if (!wheel_.empty()) reapExpired(clock_.now());
+    if (!deadlines_.empty()) reapExpired(clock_.now());
   }
   closeAll();
 }
@@ -143,34 +143,29 @@ void Daemon::armDeadline(Connection& conn) {
   if (config_.idleTimeoutSeconds > 0) {
     d = std::min(d, conn.lastActivity + config_.idleTimeoutSeconds);
   }
-  conn.deadline = d;
-  // Lazy wheel discipline: schedule only when the deadline moved
-  // earlier than the earliest live entry; extensions ride the old entry,
-  // whose expiry re-validates against conn.deadline and re-arms.
-  if (std::isfinite(d) && (!conn.wheelArmed || d < conn.wheelDeadline)) {
-    wheel_.schedule(conn.fd, d);
-    conn.wheelDeadline = d;
-    conn.wheelArmed = true;
+  // pscd-lint: allow(float-compare) the set is keyed by this exact value; equal means the entry is already right
+  if (d == conn.deadline) return;
+  if (std::isinf(conn.deadline)) {
+    deadlines_.emplace(d, conn.fd);
+  } else {
+    // Re-key the existing entry in place: extract + insert allocates
+    // nothing; a deadline that became +inf just drops the node.
+    auto node = deadlines_.extract({conn.deadline, conn.fd});
+    if (std::isfinite(d)) {
+      node.value().first = d;
+      deadlines_.insert(std::move(node));
+    }
   }
+  conn.deadline = d;
 }
 
 void Daemon::reapExpired(double now) {
-  expiredScratch_.clear();
-  wheel_.collectExpired(now, &expiredScratch_);
-  for (const int fd : expiredScratch_) {
+  // closeConnection erases the front entry, so each pass makes progress.
+  while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+    const int fd = deadlines_.begin()->second;
     const auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;  // stale entry for a closed fd
-    Connection& conn = it->second;
-    conn.wheelArmed = false;  // this entry is consumed
-    if (!std::isfinite(conn.deadline)) continue;
-    if (conn.deadline > now) {
-      // Activity pushed the deadline out (or the wheel wrapped a
-      // far-future one): re-arm and move on.
-      wheel_.schedule(fd, conn.deadline);
-      conn.wheelDeadline = conn.deadline;
-      conn.wheelArmed = true;
-      continue;
-    }
+    PSCD_DCHECK(it != conns_.end()) << "deadline entry for closed fd " << fd;
+    const Connection& conn = it->second;
     // Classify the reap, most-specific first: an unflushable response
     // backlog beats a half-read frame beats plain silence.
     const char* kind = nullptr;
@@ -320,30 +315,40 @@ bool Daemon::processInput(Connection& conn) {
 ResponseBody Daemon::dispatch(const WireFrame& frame) {
   ResponseBody response;
   response.op = static_cast<std::uint8_t>(frame.type());
-  try {
-    switch (frame.type()) {
-      case FrameType::kSubscribe: {
-        const auto& b = std::get<SubscribeBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("SUBSCRIBE: proxy out of range");
-        }
+  // Each frame is checked before it reaches the service; a rejected one
+  // leaves the service untouched and earns status=kError with a zeroed
+  // payload, and the connection lives on.
+  const char* rejected = nullptr;
+  const std::uint32_t numProxies = service_.engine().numProxies();
+  switch (frame.type()) {
+    case FrameType::kSubscribe: {
+      const auto& b = std::get<SubscribeBody>(frame.body);
+      if (b.proxy >= numProxies) {
+        rejected = "proxy out of range";
+      } else if (b.count > std::numeric_limits<std::uint32_t>::max() -
+                               service_.broker().aggregatedCount(b.proxy,
+                                                                 b.page)) {
+        rejected = "subscription count overflows 32 bits";
+      } else {
         service_.broker().subscribeAggregated(b.proxy, b.page, b.count);
-        break;
       }
-      case FrameType::kUnsubscribe: {
-        const auto& b = std::get<UnsubscribeBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("UNSUBSCRIBE: proxy out of range");
-        }
+      break;
+    }
+    case FrameType::kUnsubscribe: {
+      const auto& b = std::get<UnsubscribeBody>(frame.body);
+      if (b.proxy >= numProxies) {
+        rejected = "proxy out of range";
+      } else {
         response.pages =
             service_.broker().unsubscribeAggregated(b.proxy, b.page, b.count);
-        break;
       }
-      case FrameType::kPublish: {
-        const auto& b = std::get<PublishBody>(frame.body);
-        if (b.size == 0) {
-          throw std::invalid_argument("PUBLISH: size must be positive");
-        }
+      break;
+    }
+    case FrameType::kPublish: {
+      const auto& b = std::get<PublishBody>(frame.body);
+      if (b.size == 0) {
+        rejected = "size must be positive";
+      } else {
         PublishEvent event;
         event.time = clock_.now();
         event.page = b.page;
@@ -353,33 +358,33 @@ ResponseBody Daemon::dispatch(const WireFrame& frame) {
         const PushDelivery& d = sink_.lastPush();
         response.pages = d.pages;
         response.bytes = d.bytes;
-        break;
       }
-      case FrameType::kRequest: {
-        const auto& b = std::get<RequestBody>(frame.body);
-        if (b.proxy >= service_.engine().numProxies()) {
-          throw std::out_of_range("REQUEST: proxy out of range");
-        }
+      break;
+    }
+    case FrameType::kRequest: {
+      const auto& b = std::get<RequestBody>(frame.body);
+      if (b.proxy >= numProxies) {
+        rejected = "proxy out of range";
+      } else if (!service_.engine().published(b.page)) {
+        rejected = "page never published";
+      } else {
         service_.handleRequest(b.proxy, b.page);
         const RequestDelivery& d = sink_.lastRequest();
         response.hit = d.hit ? 1 : 0;
         response.stale = d.stale ? 1 : 0;
         response.bytes = d.bytesTransferred;
         response.responseTimeMs = d.responseTimeMs;
-        break;
       }
-      case FrameType::kResponse:
-        break;  // rejected by processInput before dispatch
+      break;
     }
-  } catch (const std::exception& e) {
-    // A failed operation answers with status=kError and zeroed payload;
-    // the connection (and the service's consistent state) live on.
-    response = ResponseBody{};
-    response.op = static_cast<std::uint8_t>(frame.type());
+    case FrameType::kResponse:
+      break;  // rejected by processInput before dispatch
+  }
+  if (rejected != nullptr) {
     response.status = static_cast<std::uint8_t>(ResponseStatus::kError);
     ++stats_.errorResponses;
     logDebug() << "pscd_daemon: " << frameTypeName(frame.type())
-               << " failed: " << e.what();
+               << " failed: " << rejected;
   }
   return response;
 }
@@ -438,6 +443,9 @@ void Daemon::closeConnection(int fd) {
     // The drain delivered this connection's in-flight responses before
     // it closed — the whole point of stopDrain() over stop().
     ++stats_.drainFlushed;
+  }
+  if (std::isfinite(it->second.deadline)) {
+    deadlines_.erase({it->second.deadline, fd});
   }
   loop_.remove(fd);
   ::close(fd);

@@ -12,16 +12,22 @@
 //        +--------- read bytes ----------+
 //        v                               |
 //   [READING] --frame complete--> [DISPATCH] --response--> [WRITING]
-//        |                               |                     |
-//        | decode error /                | handler error       | flushed
-//        | EOF / overflow                v                     v
-//        +------> [CLOSED] <---- error RESPONSE is        [READING]
-//                                 still written first
+//        |                         (ok or kError)              |
+//        | decode error /                                      | flushed
+//        | EOF / overflow                                      v
+//        +------> [CLOSED]                                [READING]
 //
 // Malformed bytes (bad magic/version/type/flags/length) can never
-// resynchronize, so the connection is closed; a well-formed frame whose
-// *operation* fails (unknown page, out-of-range proxy) gets a RESPONSE
-// with status=kError and the connection lives on.
+// resynchronize, so the connection is closed. A well-formed frame is
+// checked before it reaches the service: an out-of-range proxy, a
+// zero-size PUBLISH, a REQUEST for an unpublished page, or a SUBSCRIBE
+// whose count would overflow gets a RESPONSE with status=kError, and
+// the connection lives on. No error path throws.
+//
+// Deadlines: each connection with a finite deadline has exactly one
+// (deadline, fd) entry in an ordered set. The front entry is the next
+// reap and sets the poll timeout; with every timeout at 0 the set stays
+// empty and the loop reads no clock.
 //
 // Threading: the loop runs entirely on the thread that calls run().
 // stop() is the one cross-thread entry point — it flips an atomic and
@@ -34,13 +40,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/service.h"
 #include "pscd/net/event_loop.h"
-#include "pscd/net/timer_wheel.h"
 #include "pscd/net/wire.h"
 #include "pscd/net/wire_runtime.h"
 #include "pscd/topology/network.h"
@@ -176,10 +182,8 @@ class Daemon : private EventLoop::Handler {
     double lastActivity = 0.0;   // clock_ time of the last read bytes
     double writePendingSince = 0.0;
     bool writePending = false;   // unflushed output is sitting in `out`
-    /// Authoritative reap time; +inf when no deadline applies.
+    /// Reap time, keyed in deadlines_; +inf when no deadline applies.
     double deadline = std::numeric_limits<double>::infinity();
-    double wheelDeadline = 0.0;  // earliest wheel entry live for fd
-    bool wheelArmed = false;
   };
 
   enum StopMode { kRunning = 0, kStopDrain = 1, kStopNow = 2 };
@@ -198,13 +202,14 @@ class Daemon : private EventLoop::Handler {
   bool processInput(Connection& conn);
   ResponseBody dispatch(const WireFrame& frame);
   /// Recomputes conn.deadline from the timeout config and current
-  /// state, scheduling a wheel entry when it moved earlier.
+  /// state, and re-keys its deadlines_ entry when it changed.
   void armDeadline(Connection& conn);
   /// Closes every connection whose deadline has passed, classifying the
   /// reap (write > read > idle) into DaemonStats.
   void reapExpired(double now);
-  /// Poll timeout honoring the wheel and the drain deadline; -1 when
-  /// neither is pending (the fault-free default, read with no clock).
+  /// Poll timeout honoring the nearest deadline and the drain deadline;
+  /// -1 when neither is pending (the fault-free default, read with no
+  /// clock).
   int computeWaitMs();
   void beginDrain();
 
@@ -220,8 +225,8 @@ class Daemon : private EventLoop::Handler {
   double drainDeadline_ = 0.0;
   /// Ordered by fd so any diagnostic iteration is deterministic.
   std::map<int, Connection> conns_;
-  TimerWheel wheel_;
-  std::vector<int> expiredScratch_;
+  /// (deadline, fd) of every connection whose deadline is finite.
+  std::set<std::pair<double, int>> deadlines_;
   std::atomic<int> stopMode_{kRunning};
   std::atomic<bool> dumpRequested_{false};
 };

@@ -1,6 +1,7 @@
 #include "pscd/pubsub/broker.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "pscd/util/check.h"
@@ -36,6 +37,10 @@ PSCD_HOT void Broker::subscribeAggregated(ProxyId proxy, PageId page,
       list.begin(), list.end(), proxy,
       [](const Notification& n, ProxyId p) { return n.proxy < p; });
   if (it != list.end() && it->proxy == proxy) {
+    if (count > std::numeric_limits<std::uint32_t>::max() - it->matchCount) {
+      throw std::overflow_error(
+          "Broker::subscribeAggregated: count overflows 32 bits");
+    }
     it->matchCount += count;
   } else {
     list.insert(it, Notification{proxy, count});

@@ -39,6 +39,8 @@ class Broker {
   /// Registers `count` end-user subscriptions at `proxy` that match
   /// exactly page `page`; counts accumulate across calls. This is the
   /// aggregated form a proxy's subscription aggregator reports upstream.
+  /// Throws std::overflow_error, leaving the count unchanged, when the
+  /// total would not fit in 32 bits.
   void subscribeAggregated(ProxyId proxy, PageId page, std::uint32_t count);
 
   /// Removes up to `count` aggregated subscriptions (clamping at zero);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace pscd {
 namespace {
 
@@ -18,6 +21,20 @@ TEST(BrokerTest, AggregatedCountsAccumulate) {
   EXPECT_EQ(b.aggregatedCount(1, 10), 5u);
   EXPECT_EQ(b.aggregatedCount(0, 10), 0u);
   EXPECT_EQ(b.aggregatedCount(1, 11), 0u);
+}
+
+TEST(BrokerTest, AggregatedCountOverflowIsRejectedAndLeavesTheCount) {
+  Broker b(2);
+  b.subscribeAggregated(1, 7, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW(b.subscribeAggregated(1, 7, 1), std::overflow_error);
+  EXPECT_EQ(b.aggregatedCount(1, 7),
+            std::numeric_limits<std::uint32_t>::max());
+  EXPECT_NO_THROW(b.checkInvariants());
+  // Unsubscribing makes room again.
+  EXPECT_EQ(b.unsubscribeAggregated(1, 7, 1), 1u);
+  b.subscribeAggregated(1, 7, 1);
+  EXPECT_EQ(b.aggregatedCount(1, 7),
+            std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(BrokerTest, ZeroCountIgnored) {

@@ -13,12 +13,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -347,6 +349,107 @@ TEST(DaemonCounters, EveryCounterFiresExactlyOnce) {
         << "got:      " << formatDaemonStats(host.daemon().stats())
         << "\nexpected: " << formatDaemonStats(c.expected);
   }
+}
+
+// ---------------------------------------------------------------------
+// Connection deadlines at the daemon level: exact reap times, and no
+// deadline outliving its connection. The margins are wide so a loaded
+// host cannot flake them.
+
+std::set<int> openFds() {
+  std::set<int> fds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    fds.insert(std::stoi(entry.path().filename().string()));
+  }
+  return fds;
+}
+
+TEST(DaemonDeadlines, SilentConnectionIsReapedAtItsDeadlineNotBefore) {
+  constexpr double kIdle = 0.2;
+  DaemonConfig config;
+  config.idleTimeoutSeconds = kIdle;
+  ServeHost host(smallHostConfig(), config);
+  std::thread loop([&host] { host.daemon().run(); });
+  // A raw socket, so waiting for the close does not poison anything.
+  const int fd = rawConnect(host.daemon().port(), 0);
+  WireFrame publish;
+  publish.seq = 1;
+  publish.body = PublishBody{1, 1, 64};
+  WireFrame reply;
+  reply.body = ResponseBody{};
+  std::string response(encodeFrame(reply).size(), '\0');
+  // The daemon reads the frame after this instant, so its deadline is
+  // no earlier than sent + kIdle.
+  const double sent = monotonicSeconds();
+  sendAllRaw(fd, encodeFrame(publish));
+  ASSERT_EQ(::recv(fd, response.data(), response.size(), MSG_WAITALL),
+            static_cast<ssize_t>(response.size()));
+  pollfd readable{fd, POLLIN, 0};
+  const int early = ::poll(&readable, 1, 50);
+  if (monotonicSeconds() - sent < kIdle) {
+    EXPECT_EQ(early, 0) << "reaped before its deadline";
+  }
+  ASSERT_EQ(::poll(&readable, 1, 5000), 1) << "never reaped";
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  const double closedAfter = monotonicSeconds() - sent;
+  EXPECT_GE(closedAfter, kIdle);
+  EXPECT_LE(closedAfter, kIdle + 0.5);
+  ::close(fd);
+  host.daemon().stop();
+  loop.join();
+  const DaemonStats expected{.accepted = 1,
+                             .closed = 1,
+                             .framesHandled = 1,
+                             .idleTimeouts = 1};
+  EXPECT_TRUE(host.daemon().stats() == expected)
+      << formatDaemonStats(host.daemon().stats());
+}
+
+TEST(DaemonDeadlines, ReusedFdDoesNotInheritAClosedConnectionsDeadline) {
+  constexpr double kIdle = 0.5;
+  DaemonConfig config;
+  config.idleTimeoutSeconds = kIdle;
+  ServeHost host(smallHostConfig(), config);
+  std::thread loop([&host] { host.daemon().run(); });
+  const std::set<int> baseline = openFds();
+
+  // Connection A arms a deadline at about start + kIdle, then closes
+  // long before it; the daemon's side closes too.
+  const double start = monotonicSeconds();
+  std::set<int> withA;
+  {
+    WireClient a("127.0.0.1", host.daemon().port());
+    EXPECT_TRUE(a.publish(1, 1, 64).ok());
+    withA = openFds();
+  }
+  while (openFds() != baseline && monotonicSeconds() - start < 5.0) {
+    sleepSeconds(0.001);
+  }
+  ASSERT_EQ(openFds(), baseline);
+
+  // Connection B gets A's fd numbers (client and daemon side) and keeps
+  // busy well past A's old deadline.
+  WireClient b("127.0.0.1", host.daemon().port());
+  WireFrame request;
+  request.body = RequestBody{0, 1};
+  const CallOptions options{.deadlineSeconds = 5.0};
+  bool alive = b.call(request, options).ok();
+  EXPECT_EQ(openFds(), withA) << "B should reuse A's fds";
+  int calls = 1;
+  while (alive && monotonicSeconds() - start < 2 * kIdle + 0.5) {
+    sleepSeconds(0.05);
+    alive = b.call(request, options).ok();
+    ++calls;
+  }
+  host.daemon().stop();
+  loop.join();
+  EXPECT_TRUE(alive) << "B was reaped at call " << calls;
+  const DaemonStats& stats = host.daemon().stats();
+  EXPECT_EQ(stats.idleTimeouts, 0u) << formatDaemonStats(stats);
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.framesHandled, static_cast<std::uint64_t>(calls + 1));
 }
 
 // ---------------------------------------------------------------------

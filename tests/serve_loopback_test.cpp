@@ -13,10 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pscd/net/client.h"
@@ -226,6 +232,178 @@ TEST_F(ServeLoopbackTest, ErrorResponsesKeepTheConnectionAlive) {
   StopHost();
   EXPECT_EQ(host_->daemon().stats().errorResponses, 4u);
   EXPECT_EQ(host_->daemon().stats().decodeErrors, 0u);
+}
+
+TEST_F(ServeLoopbackTest, OverflowingSubscribeIsAnErrorAndLeavesTheCount) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  StartHost();
+  WireClient client = connect();
+  ASSERT_TRUE(client.subscribe(1, 7, kMax).ok());
+  // One more would wrap the aggregated count to 0.
+  EXPECT_FALSE(client.subscribe(1, 7, 1).ok());
+  EXPECT_TRUE(client.publish(7, 1, 64).ok());
+  EXPECT_TRUE(client.request(1, 7).ok());
+
+  StopHost();
+  EXPECT_EQ(host_->service().broker().aggregatedCount(1, 7), kMax);
+  EXPECT_EQ(host_->daemon().stats().errorResponses, 1u);
+  EXPECT_NO_THROW(host_->service().checkInvariants());
+}
+
+// A seeded stream of valid frames interleaved with every kind of frame
+// the daemon must reject, all on one connection. A plain model predicts
+// which frames earn kError; the valid ones also drive a direct oracle
+// service, whose answers the daemon's must match field for field.
+TEST_F(ServeLoopbackTest, HostileFrameSweepMatchesTheOracle) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr PageId kPublishedPages = 24;  // PUBLISH draws from these
+  constexpr PageId kRequestedPages = 32;  // REQUEST may miss the table
+  StartHost();
+  WireClient client = connect();
+  const Network network = ServeHost::buildNetwork(config_);
+  ZeroClock clock;
+  WireSink sink;
+  DistributionService oracle(network, clock, sink,
+                             ServeHost::buildServiceConfig(config_));
+
+  // The model: which pages exist and every aggregated count, in 64 bits
+  // so an overflow is visible instead of wrapping.
+  std::set<PageId> published;
+  std::map<std::pair<ProxyId, PageId>, std::uint64_t> counts;
+
+  Rng rng(1313);
+  const auto pickProxy = [&] {
+    // One in five is out of range, sometimes far out.
+    if (rng.uniform() < 0.2) {
+      return rng.uniform() < 0.5 ? kMax
+                                 : config_.numProxies +
+                                       static_cast<ProxyId>(rng.uniformInt(
+                                           std::uint64_t{8}));
+    }
+    return static_cast<ProxyId>(
+        rng.uniformInt(std::uint64_t{config_.numProxies}));
+  };
+  const auto pickCount = [&] {
+    const double pick = rng.uniform();
+    if (pick < 0.1) return kMax;
+    if (pick < 0.2) return kMax - static_cast<std::uint32_t>(
+                                      rng.uniformInt(std::uint64_t{4}));
+    return 1 + static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{5}));
+  };
+
+  constexpr int kFrames = 3000;
+  std::uint64_t predictedErrors = 0;
+  Version nextVersion = 1;
+  for (int i = 0; i < kFrames; ++i) {
+    WireFrame frame;
+    bool valid = true;
+    std::uint32_t unsubscribed = 0;
+    const double kind = rng.uniform();
+    if (kind < 0.25) {
+      const SubscribeBody b{pickProxy(),
+                            static_cast<PageId>(rng.uniformInt(
+                                std::uint64_t{kRequestedPages})),
+                            pickCount()};
+      frame.body = b;
+      valid = b.proxy < config_.numProxies &&
+              counts[{b.proxy, b.page}] + b.count <= kMax;
+      if (valid) {
+        counts[{b.proxy, b.page}] += b.count;
+        oracle.broker().subscribeAggregated(b.proxy, b.page, b.count);
+      }
+    } else if (kind < 0.4) {
+      const UnsubscribeBody b{pickProxy(),
+                              static_cast<PageId>(rng.uniformInt(
+                                  std::uint64_t{kRequestedPages})),
+                              pickCount()};
+      frame.body = b;
+      valid = b.proxy < config_.numProxies;
+      if (valid) {
+        std::uint64_t& count = counts[{b.proxy, b.page}];
+        unsubscribed =
+            oracle.broker().unsubscribeAggregated(b.proxy, b.page, b.count);
+        EXPECT_EQ(unsubscribed, std::min<std::uint64_t>(count, b.count));
+        count -= unsubscribed;
+      }
+    } else if (kind < 0.6) {
+      const PublishBody b{static_cast<PageId>(rng.uniformInt(
+                              std::uint64_t{kPublishedPages})),
+                          nextVersion++,
+                          rng.uniform() < 0.2
+                              ? Bytes{0}
+                              : 1 + rng.uniformInt(std::uint64_t{2000})};
+      frame.body = b;
+      valid = b.size > 0;
+      if (valid) {
+        published.insert(b.page);
+        PublishEvent event;
+        event.page = b.page;
+        event.version = b.version;
+        event.size = b.size;
+        oracle.handlePublish(event);
+      }
+    } else {
+      const RequestBody b{pickProxy(),
+                          static_cast<PageId>(rng.uniformInt(
+                              std::uint64_t{kRequestedPages}))};
+      frame.body = b;
+      valid = b.proxy < config_.numProxies && published.contains(b.page);
+      if (valid) oracle.handleRequest(b.proxy, b.page);
+    }
+    if (!valid) ++predictedErrors;
+
+    const ResponseBody resp = client.call(frame);
+    ASSERT_EQ(resp.op, static_cast<std::uint8_t>(frame.type()))
+        << "frame " << i;
+    if (!valid) {
+      ASSERT_EQ(resp.status,
+                static_cast<std::uint8_t>(ResponseStatus::kError))
+          << "frame " << i << " " << frameTypeName(frame.type());
+      ASSERT_EQ(resp.pages, 0u) << "frame " << i;
+      ASSERT_EQ(resp.bytes, 0u) << "frame " << i;
+      continue;
+    }
+    ASSERT_TRUE(resp.ok()) << "frame " << i << " "
+                           << frameTypeName(frame.type());
+    switch (frame.type()) {
+      case FrameType::kSubscribe:
+        break;
+      case FrameType::kUnsubscribe:
+        EXPECT_EQ(resp.pages, unsubscribed) << "frame " << i;
+        break;
+      case FrameType::kPublish:
+        EXPECT_EQ(resp.pages, sink.lastPush().pages) << "frame " << i;
+        EXPECT_EQ(resp.bytes, sink.lastPush().bytes) << "frame " << i;
+        break;
+      case FrameType::kRequest:
+        EXPECT_EQ(resp.hit != 0, sink.lastRequest().hit) << "frame " << i;
+        EXPECT_EQ(resp.stale != 0, sink.lastRequest().stale) << "frame " << i;
+        EXPECT_EQ(resp.bytes, sink.lastRequest().bytesTransferred)
+            << "frame " << i;
+        EXPECT_EQ(resp.responseTimeMs, sink.lastRequest().responseTimeMs)
+            << "frame " << i;
+        break;
+      case FrameType::kResponse:
+        ADD_FAILURE() << "generator never sends RESPONSE";
+        break;
+    }
+  }
+  // The sweep must have exercised every rejection, and the one
+  // connection is still serving.
+  EXPECT_GT(predictedErrors, std::uint64_t{kFrames / 10});
+  EXPECT_TRUE(client.connected());
+  EXPECT_TRUE(client.publish(0, nextVersion, 64).ok());
+
+  StopHost();
+  EXPECT_EQ(host_->daemon().stats().errorResponses, predictedErrors);
+  EXPECT_EQ(host_->daemon().stats().accepted, 1u);
+  EXPECT_EQ(host_->daemon().stats().decodeErrors, 0u);
+  for (const auto& [key, count] : counts) {
+    EXPECT_EQ(host_->service().broker().aggregatedCount(key.first,
+                                                        key.second),
+              count);
+  }
+  EXPECT_NO_THROW(host_->service().checkInvariants());
 }
 
 TEST_F(ServeLoopbackTest, GarbageBytesCloseOnlyThatConnection) {
