@@ -16,12 +16,15 @@ int main(int argc, char** argv) {
                                      StrategyKind::kGDS, StrategyKind::kLFUDA,
                                      StrategyKind::kLRU};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](TraceKind trace, double cap, StrategyKind kind) {
+    return ExperimentCell{trace, 1.0, kind, cap};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
     for (const double cap : kCapacityFractions) {
       for (const StrategyKind kind : kKinds) {
-        cells.push_back({trace, 1.0, kind, cap});
+        cells.push_back(cell(trace, cap, kind));
       }
     }
   }
@@ -33,7 +36,7 @@ int main(int argc, char** argv) {
     for (const double cap : kCapacityFractions) {
       table.row().cell(formatFixed(100 * cap, 0) + "%");
       for (const StrategyKind kind : kKinds) {
-        table.cell(pct(ctx.run(trace, 1.0, kind, cap).hitRatio()));
+        table.cell(pct(ctx.run(cell(trace, cap, kind)).hitRatio()));
       }
     }
     std::printf("Hit ratio (%%), trace %s:\n%s\n",

@@ -58,6 +58,9 @@ int main(int argc, char** argv) {
   constexpr TraceKind kTraces[] = {TraceKind::kNews, TraceKind::kAlternative};
   constexpr StrategyKind kKinds[] = {StrategyKind::kGDStar,
                                      StrategyKind::kSG2, StrategyKind::kSR};
+  const auto cell = [](TraceKind trace, double cap, StrategyKind kind) {
+    return ExperimentCell{trace, 1.0, kind, cap};
+  };
 
   // The online strategies go through the shared cell runner; the oracle
   // runs fan out as driver tasks over the same pool configuration.
@@ -65,7 +68,7 @@ int main(int argc, char** argv) {
   for (const TraceKind trace : kTraces) {
     for (const double cap : kCapacityFractions) {
       for (const StrategyKind kind : kKinds) {
-        cells.push_back({trace, 1.0, kind, cap});
+        cells.push_back(cell(trace, cap, kind));
       }
     }
   }
@@ -92,7 +95,7 @@ int main(int argc, char** argv) {
       table.row().cell(formatFixed(100 * kCapacityFractions[c], 0) + "%");
       for (const StrategyKind kind : kKinds) {
         table.cell(pct(
-            ctx.run(kTraces[t], 1.0, kind, kCapacityFractions[c])
+            ctx.run(cell(kTraces[t], kCapacityFractions[c], kind))
                 .hitRatio()));
       }
       table.cell(pct(oracle[t][c]));

@@ -16,15 +16,20 @@ int main(int argc, char** argv) {
   constexpr StrategyKind kKinds[] = {StrategyKind::kGDStar,
                                      StrategyKind::kSG1, StrategyKind::kSG2};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](TraceKind trace, StrategyKind kind, double cap,
+                       double beta) {
+    return ExperimentCell{.trace = trace,
+                          .strategy = kind,
+                          .capacityFraction = cap,
+                          .beta = beta};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
     for (const StrategyKind kind : kKinds) {
       for (const double cap : kCapacityFractions) {
         for (const double beta : kBetas) {
-          ExperimentCell cell{trace, 1.0, kind, cap};
-          cell.beta = beta;
-          cells.push_back(cell);
+          cells.push_back(cell(trace, kind, cap, beta));
         }
       }
     }
@@ -44,7 +49,7 @@ int main(int argc, char** argv) {
             .cell(formatFixed(100 * cap, 0) + "%");
         double bestBeta = kBetas[0], bestHit = -1.0;
         for (const double beta : kBetas) {
-          const auto m = ctx.runWithBeta(trace, 1.0, kind, cap, beta);
+          const auto m = ctx.run(cell(trace, kind, cap, beta));
           table.cell(pct(m.hitRatio()));
           if (m.hitRatio() > bestHit) {
             bestHit = m.hitRatio();

@@ -8,11 +8,12 @@
 //   --csv P    also export every printed table to CSV file P
 //
 // Drivers are two-phase so parallelism cannot perturb output: phase one
-// schedules every (trace x strategy x config) cell on a ParallelRunner
-// backed by the annotated ThreadPool; phase two renders tables on the
-// main thread through ExperimentContext's memoized results, in the same
-// deterministic order regardless of --jobs. Serial and parallel runs of
-// a driver therefore emit byte-identical stdout and CSV.
+// runs every (trace x strategy x config) ExperimentCell through
+// ExperimentContext::run() on the annotated ThreadPool; phase two
+// renders tables on the main thread from the same cells, which the
+// context's memo answers without re-running, in the same deterministic
+// order regardless of --jobs. Serial and parallel runs of a driver
+// therefore emit byte-identical stdout and CSV.
 #pragma once
 
 #include <cstdio>
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "pscd/pscd.h"
-#include "pscd/sim/parallel_runner.h"
 #include "pscd/util/mutex.h"
 #include "pscd/util/thread_pool.h"
 
@@ -63,51 +63,29 @@ enum class BenchEnvStatus { kOk, kHelp, kError };
 /// A driver-specific option registered alongside the shared --jobs /
 /// --scale / --csv set, so drivers with extra knobs (bench_serve's
 /// --qps, --mode, ...) extend the one parser instead of growing a
-/// second ad-hoc one. Precedence matches the shared options: explicit
-/// flag > `envVar` (when non-empty and set) > `defaultValue`.
+/// second ad-hoc one. An explicit flag overrides `defaultValue`.
 struct BenchOption {
   std::string name;          // long option name, without the "--"
   std::string help;          // one-line --help description
   std::string defaultValue;  // builtin default
-  std::string envVar;        // optional env var overriding the default
 };
 
-/// Testable core of parseBenchEnv. Environment variables provide
-/// *defaults* that explicit flags always override:
-///
-///   PSCD_BENCH_JOBS   default for --jobs
-///   PSCD_BENCH_SCALE  default for --scale
-///   PSCD_BENCH_CSV    default for --csv
-///
-/// All environment access goes through `envLookup` (pass nullptr-
-/// returning lambdas in tests; parseBenchEnv wires std::getenv), so the
-/// precedence logic is unit-testable without mutating the process
-/// environment. Does not print or exit.
+/// Testable core of parseBenchEnv: does not print or exit.
 inline BenchEnvStatus tryParseBenchEnv(
     int argc, const char* const* argv, const std::string& program,
-    const std::string& description,
-    const std::function<const char*(const char*)>& envLookup, BenchEnv* out,
-    std::string* message, const std::vector<BenchOption>& extraOptions = {},
+    const std::string& description, BenchEnv* out, std::string* message,
+    const std::vector<BenchOption>& extraOptions = {},
     std::map<std::string, std::string>* extraValues = nullptr) {
-  const auto envDefault = [&](const char* name, const std::string& fallback) {
-    const char* v =
-        envLookup && name != nullptr && *name != '\0' ? envLookup(name)
-                                                      : nullptr;
-    return v != nullptr && *v != '\0' ? std::string(v) : fallback;
-  };
   ArgParser parser(program, description);
   parser.addOption("jobs",
                    "worker threads for simulation cells "
                    "(0 = hardware concurrency)",
-                   envDefault("PSCD_BENCH_JOBS", "0"));
+                   "0");
   parser.addOption("scale",
-                   "workload scale factor in (0, 1]; 1 = paper setup",
-                   envDefault("PSCD_BENCH_SCALE", "1"));
-  parser.addOption("csv", "also write every table to this CSV file",
-                   envDefault("PSCD_BENCH_CSV", ""));
+                   "workload scale factor in (0, 1]; 1 = paper setup", "1");
+  parser.addOption("csv", "also write every table to this CSV file", "");
   for (const BenchOption& option : extraOptions) {
-    parser.addOption(option.name, option.help,
-                     envDefault(option.envVar.c_str(), option.defaultValue));
+    parser.addOption(option.name, option.help, option.defaultValue);
   }
   if (!parser.parse(argc, argv)) {
     if (parser.error().empty()) {
@@ -118,7 +96,7 @@ inline BenchEnvStatus tryParseBenchEnv(
     return BenchEnvStatus::kError;
   }
   std::int64_t jobs = 0;
-  try {  // malformed values can arrive via PSCD_BENCH_* as well as flags
+  try {  // optionInt/optionDouble throw on malformed flag values
     jobs = parser.optionInt("jobs");
     out->scale = parser.optionDouble("scale");
   } catch (const std::invalid_argument& e) {
@@ -154,9 +132,8 @@ inline BenchEnv parseBenchEnv(
   BenchEnv env;
   std::string message;
   const BenchEnvStatus status = tryParseBenchEnv(
-      argc, argv, program, description,
-      [](const char* name) { return std::getenv(name); }, &env, &message,
-      extraOptions, extraValues);
+      argc, argv, program, description, &env, &message, extraOptions,
+      extraValues);
   if (status == BenchEnvStatus::kHelp) {
     std::printf("%s", message.c_str());
     std::exit(0);
@@ -168,20 +145,8 @@ inline BenchEnv parseBenchEnv(
   return env;
 }
 
-/// Runs every cell across env.jobs workers (inline when jobs = 1). The
-/// results land in the context's memo, so the driver's rendering phase
-/// reads them back through the ordinary ctx.run()/runWithBeta() calls
-/// without recomputing anything.
-inline void runCells(ExperimentContext& ctx, const BenchEnv& env,
-                     const std::vector<ExperimentCell>& cells) {
-  ParallelRunner runner(env.jobs);
-  for (const ExperimentCell& cell : cells) runner.schedule(ctx, cell);
-  runner.runAll();
-}
-
-/// Fan-out for driver-specific work that does not go through
-/// ExperimentContext cells (custom Simulator configs, broker trees,
-/// hierarchies). Each task must write to its own pre-sized result slot;
+/// Fans driver work out across env.jobs workers. Each task must write
+/// to its own pre-sized result slot (or into ExperimentContext's memo);
 /// tasks run inline, in order, when jobs = 1.
 inline void runTasks(const BenchEnv& env,
                      std::vector<std::function<void()>> tasks) {
@@ -191,6 +156,19 @@ inline void runTasks(const BenchEnv& env,
   }
   ThreadPool pool(env.jobs);
   runAll(&pool, std::move(tasks));
+}
+
+/// Phase one of a figure driver: runs every cell through ctx.run() via
+/// runTasks, so the rendering phase's ctx.run() calls on the same cells
+/// are memo hits.
+inline void runCells(ExperimentContext& ctx, const BenchEnv& env,
+                     const std::vector<ExperimentCell>& cells) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(cells.size());
+  for (const ExperimentCell& cell : cells) {
+    tasks.push_back([&ctx, &cell] { ctx.run(cell); });
+  }
+  runTasks(env, std::move(tasks));
 }
 
 /// Collects labeled tables and writes them to one CSV file. Each table

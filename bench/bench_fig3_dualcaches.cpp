@@ -15,11 +15,14 @@ int main(int argc, char** argv) {
       StrategyKind::kGDStar, StrategyKind::kDM, StrategyKind::kDCFP,
       StrategyKind::kDCAP, StrategyKind::kDCLAP};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](double cap, StrategyKind kind) {
+    return ExperimentCell{TraceKind::kNews, 1.0, kind, cap};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const double cap : kCapacityFractions) {
     for (const StrategyKind kind : kKinds) {
-      cells.push_back({TraceKind::kNews, 1.0, kind, cap});
+      cells.push_back(cell(cap, kind));
     }
   }
   runCells(ctx, env, cells);
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
   for (const double cap : kCapacityFractions) {
     table.row().cell(formatFixed(100 * cap, 0) + "%");
     for (const StrategyKind kind : kKinds) {
-      table.cell(pct(ctx.run(TraceKind::kNews, 1.0, kind, cap).hitRatio()));
+      table.cell(pct(ctx.run(cell(cap, kind)).hitRatio()));
     }
   }
   std::printf("Hit ratio (%%), trace NEWS, SQ = 1:\n%s\n",

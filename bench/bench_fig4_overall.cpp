@@ -14,13 +14,17 @@ int main(int argc, char** argv) {
               "figure 4 (a, b)");
   ExperimentContext ctx(42, 7, env.scale);
 
+  const auto cell = [](TraceKind trace, double cap, StrategyKind kind) {
+    return ExperimentCell{trace, 1.0, kind, cap};
+  };
+
   // Phase 1: fan every (trace x capacity x strategy) cell out across
   // the pool. The response-time table reuses the cap = 0.05 cells.
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
     for (const double cap : kCapacityFractions) {
       for (const StrategyKind kind : kFigureStrategies) {
-        cells.push_back({trace, 1.0, kind, cap});
+        cells.push_back(cell(trace, cap, kind));
       }
     }
   }
@@ -34,7 +38,7 @@ int main(int argc, char** argv) {
     for (const double cap : kCapacityFractions) {
       table.row().cell(formatFixed(100 * cap, 0) + "%");
       for (const StrategyKind kind : kFigureStrategies) {
-        table.cell(pct(ctx.run(trace, 1.0, kind, cap).hitRatio()));
+        table.cell(pct(ctx.run(cell(trace, cap, kind)).hitRatio()));
       }
     }
     std::printf("Hit ratio (%%), trace %s, SQ = 1:\n%s\n",
@@ -51,7 +55,7 @@ int main(int argc, char** argv) {
     rt.row().cell(std::string(traceName(trace)));
     for (const StrategyKind kind : kFigureStrategies) {
       rt.cell(formatFixed(
-          ctx.run(trace, 1.0, kind, 0.05).meanResponseTime(), 1));
+          ctx.run(cell(trace, 0.05, kind)).meanResponseTime(), 1));
     }
   }
   std::printf("Mean user-perceived response time (ms), capacity = 5%%:\n%s\n",

@@ -12,12 +12,15 @@ int main(int argc, char** argv) {
   printHeader("Hit ratio vs subscription quality", "figure 5 (a, b)");
   constexpr double kQualities[] = {0.25, 0.5, 0.75, 1.0};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](TraceKind trace, double sq, StrategyKind kind) {
+    return ExperimentCell{trace, sq, kind, 0.05};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
     for (const double sq : kQualities) {
       for (const StrategyKind kind : kFigureStrategies) {
-        cells.push_back({trace, sq, kind, 0.05});
+        cells.push_back(cell(trace, sq, kind));
       }
     }
   }
@@ -29,7 +32,7 @@ int main(int argc, char** argv) {
     for (const double sq : kQualities) {
       table.row().cell(formatFixed(sq, 2));
       for (const StrategyKind kind : kFigureStrategies) {
-        table.cell(pct(ctx.run(trace, sq, kind, 0.05).hitRatio()));
+        table.cell(pct(ctx.run(cell(trace, sq, kind)).hitRatio()));
       }
     }
     std::printf("Hit ratio (%%), trace %s, capacity = 5%%:\n%s\n",

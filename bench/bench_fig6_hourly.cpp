@@ -13,12 +13,15 @@ int main(int argc, char** argv) {
   constexpr StrategyKind kKinds[] = {StrategyKind::kSG2, StrategyKind::kSUB,
                                      StrategyKind::kGDStar};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](TraceKind trace, StrategyKind kind) {
+    return ExperimentCell{trace, 1.0, kind, 0.05, PushScheme::kAlwaysPushing,
+                          /*collectHourly=*/true};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
     for (const StrategyKind kind : kKinds) {
-      cells.push_back({trace, 1.0, kind, 0.05, PushScheme::kAlwaysPushing,
-                       /*collectHourly=*/true});
+      cells.push_back(cell(trace, kind));
     }
   }
   runCells(ctx, env, cells);
@@ -30,9 +33,7 @@ int main(int argc, char** argv) {
     AsciiTable table({"hour", "SG2", "SUB", "GD*"});
     std::vector<SimMetrics> runs;
     for (const StrategyKind kind : kKinds) {
-      runs.push_back(ctx.run(trace, 1.0, kind, 0.05,
-                             PushScheme::kAlwaysPushing,
-                             /*collectHourly=*/true));
+      runs.push_back(ctx.run(cell(trace, kind)));
     }
     // Print every 6th hour (the figures plot 168 points; the full series
     // goes to CSV on stdout below).

@@ -16,13 +16,16 @@ int main(int argc, char** argv) {
   constexpr StrategyKind kKinds[] = {StrategyKind::kSUB, StrategyKind::kSG2,
                                      StrategyKind::kGDStar};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](PushScheme scheme, StrategyKind kind) {
+    return ExperimentCell{TraceKind::kNews, 1.0, kind, 0.05, scheme,
+                          /*collectHourly=*/true};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const PushScheme scheme :
        {PushScheme::kAlwaysPushing, PushScheme::kPushingWhenNecessary}) {
     for (const StrategyKind kind : kKinds) {
-      cells.push_back({TraceKind::kNews, 1.0, kind, 0.05, scheme,
-                       /*collectHourly=*/true});
+      cells.push_back(cell(scheme, kind));
     }
   }
   runCells(ctx, env, cells);
@@ -37,8 +40,7 @@ int main(int argc, char** argv) {
     AsciiTable table({"hour", "SUB", "SG2", "GD*"});
     std::vector<SimMetrics> runs;
     for (const StrategyKind kind : kKinds) {
-      runs.push_back(ctx.run(TraceKind::kNews, 1.0, kind, 0.05, scheme,
-                             /*collectHourly=*/true));
+      runs.push_back(ctx.run(cell(scheme, kind)));
     }
     for (std::size_t h = 0; h < runs[0].hours(); h += 6) {
       table.row().cell(std::to_string(h));

@@ -15,12 +15,15 @@ int main(int argc, char** argv) {
       StrategyKind::kSR,   StrategyKind::kDM,   StrategyKind::kDCFP,
       StrategyKind::kDCLAP};
   ExperimentContext ctx(42, 7, env.scale);
+  const auto cell = [](TraceKind trace, StrategyKind kind) {
+    return ExperimentCell{trace, 1.0, kind, 0.05};
+  };
 
   std::vector<ExperimentCell> cells;
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
-    cells.push_back({trace, 1.0, StrategyKind::kGDStar, 0.05});
+    cells.push_back(cell(trace, StrategyKind::kGDStar));
     for (const StrategyKind kind : kColumns) {
-      cells.push_back({trace, 1.0, kind, 0.05});
+      cells.push_back(cell(trace, kind));
     }
   }
   runCells(ctx, env, cells);
@@ -28,11 +31,10 @@ int main(int argc, char** argv) {
   AsciiTable table({"alpha", "SUB", "SG1", "SG2", "SR", "DM", "DC-FP",
                     "DC-LAP"});
   for (const TraceKind trace : {TraceKind::kNews, TraceKind::kAlternative}) {
-    const double gd = ctx.run(trace, 1.0, StrategyKind::kGDStar, 0.05)
-                          .hitRatio();
+    const double gd = ctx.run(cell(trace, StrategyKind::kGDStar)).hitRatio();
     table.row().cell(trace == TraceKind::kNews ? "1.5" : "1.0");
     for (const StrategyKind kind : kColumns) {
-      const double h = ctx.run(trace, 1.0, kind, 0.05).hitRatio();
+      const double h = ctx.run(cell(trace, kind)).hitRatio();
       table.cell(formatFixed(100.0 * (h - gd) / gd, 0));
     }
   }

@@ -9,6 +9,7 @@
 // failures regardless of scheduling (the --jobs determinism contract).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,8 @@ struct RetryPolicy {
   /// Throws CheckFailure unless maxRetries <= 64, backoffBaseMs is
   /// finite and >= 0, and backoffFactor is finite and >= 1.
   void validate() const;
+
+  friend auto operator<=>(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// Complete failure model of one simulation run. All rates are mean
@@ -81,6 +84,10 @@ struct FaultConfig {
   /// (negative rates/downtimes, probabilities outside [0, 1], bad retry
   /// policy).
   void validate() const;
+
+  /// Field-wise, so every parameter tells two failure models apart (the
+  /// experiment memo keys cells on this).
+  friend auto operator<=>(const FaultConfig&, const FaultConfig&) = default;
 };
 
 enum class FaultEventKind : std::uint8_t {

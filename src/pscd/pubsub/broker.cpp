@@ -101,7 +101,10 @@ PSCD_HOT std::vector<Notification> Broker::publish(
           out.begin(), out.end(), proxy,
           [](const Notification& n, ProxyId p) { return n.proxy < p; });
       if (it != out.end() && it->proxy == proxy) {
-        it->matchCount += count;
+        // Saturate: a sum past 32 bits must not wrap to a zero count.
+        constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+        it->matchCount =
+            count > kMax - it->matchCount ? kMax : it->matchCount + count;
       } else {
         out.insert(it, Notification{proxy, count});
       }

@@ -50,7 +50,8 @@ class Broker {
 
   /// Matches a publish event against all subscriptions; returns the
   /// per-proxy notification list sorted by proxy id (proxies with zero
-  /// matches are omitted). Updates fan-out statistics.
+  /// matches are omitted). A proxy's aggregated plus predicate count
+  /// saturates at UINT32_MAX. Updates fan-out statistics.
   std::vector<Notification> publish(const ContentAttributes& attrs);
 
   /// Total subscriptions matching `page` at `proxy` via the aggregated

@@ -9,6 +9,14 @@
 
 namespace pscd {
 
+std::uint64_t cellSeed(std::uint64_t baseSeed, std::uint64_t cellIndex) {
+  // SplitMix64 over (base, index): two rounds decorrelate neighbouring
+  // indices; the golden-ratio increment keeps distinct bases disjoint.
+  std::uint64_t state = baseSeed + (cellIndex + 1) * 0x9e3779b97f4a7c15ull;
+  splitmix64(state);
+  return splitmix64(state);
+}
+
 std::string_view traceName(TraceKind trace) {
   return trace == TraceKind::kNews ? "NEWS" : "ALTERNATIVE";
 }
@@ -67,8 +75,7 @@ ExperimentContext::ExperimentContext(std::uint64_t workloadSeed,
 
 const Workload& ExperimentContext::workload(TraceKind trace,
                                             double subscriptionQuality) {
-  const auto key = std::make_pair(static_cast<int>(trace),
-                                  subscriptionQuality);
+  const auto key = std::make_pair(trace, subscriptionQuality);
   MutexLock lock(mu_);
   auto it = workloads_.find(key);
   if (it == workloads_.end()) {
@@ -93,67 +100,33 @@ const Network& ExperimentContext::network() {
   return *network_;
 }
 
-ExperimentContext::FaultKey ExperimentContext::faultKey(
-    const FaultConfig& faults) {
-  return FaultKey{faults.seed,
-                  faults.proxyFailuresPerDay,
-                  faults.proxyMeanDowntimeHours,
-                  faults.warmRestart,
-                  faults.linkFailuresPerDay,
-                  faults.linkMeanDowntimeHours,
-                  faults.pushLossProbability,
-                  faults.fetchFailureProbability,
-                  faults.publisherFailover,
-                  faults.retry.maxRetries,
-                  faults.retry.backoffBaseMs,
-                  faults.retry.backoffFactor};
-}
-
-SimMetrics ExperimentContext::run(TraceKind trace, double subscriptionQuality,
-                                  StrategyKind strategy,
-                                  double capacityFraction, PushScheme scheme,
-                                  bool collectHourly,
-                                  const FaultConfig& faults) {
-  return runWithBeta(trace, subscriptionQuality, strategy, capacityFraction,
-                     paperBeta(strategy, trace, capacityFraction), scheme,
-                     collectHourly, faults);
-}
-
-SimMetrics ExperimentContext::runWithBeta(TraceKind trace,
-                                          double subscriptionQuality,
-                                          StrategyKind strategy,
-                                          double capacityFraction, double beta,
-                                          PushScheme scheme,
-                                          bool collectHourly,
-                                          const FaultConfig& faults) {
-  const CellKey key{static_cast<int>(trace),    subscriptionQuality,
-                    static_cast<int>(strategy), capacityFraction,
-                    beta,                       static_cast<int>(scheme),
-                    collectHourly,              faultKey(faults)};
+SimMetrics ExperimentContext::run(ExperimentCell cell) {
+  if (!cell.beta) {
+    cell.beta = paperBeta(cell.strategy, cell.trace, cell.capacityFraction);
+  }
   {
     MutexLock lock(mu_);
-    auto it = results_.find(key);
+    auto it = results_.find(cell);
     if (it != results_.end()) return it->second;
   }
   // Resolve the shared inputs first (each briefly takes the lock), then
   // simulate outside it so independent cells overlap.
-  const Workload& w = workload(trace, subscriptionQuality);
+  const Workload& w = workload(cell.trace, cell.subscriptionQuality);
   const Network& n = network();
   SimConfig config;
-  config.strategy = strategy;
-  config.beta = beta;
-  config.capacityFraction = capacityFraction;
-  config.pushScheme = scheme;
-  config.collectHourly = collectHourly;
-  config.faults = faults;
-  Simulator sim(w, n, config);
-  SimMetrics metrics = sim.run();
+  config.strategy = cell.strategy;
+  config.beta = *cell.beta;
+  config.capacityFraction = cell.capacityFraction;
+  config.pushScheme = cell.scheme;
+  config.collectHourly = cell.collectHourly;
+  config.faults = cell.faults;
+  SimMetrics metrics = Simulator(w, n, config).run();
   {
-    // Merge: the simulation is deterministic in the key, so if another
+    // Merge: the simulation is deterministic in the cell, so if another
     // thread raced us to the same cell both results are identical and
     // either copy may win.
     MutexLock lock(mu_);
-    results_.emplace(key, metrics);
+    results_.emplace(cell, metrics);
   }
   return metrics;
 }

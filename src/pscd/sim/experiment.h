@@ -1,13 +1,22 @@
 // Shared experiment harness for the benchmark binaries: canonical trace
 // construction (NEWS / ALTERNATIVE at a given subscription quality), a
-// cached workload/network store so sweeps do not regenerate traces, and
-// the per-trace beta settings the paper reports in section 5.1.
+// cached workload/network store so sweeps do not regenerate traces, the
+// per-trace beta settings the paper reports in section 5.1, and the one
+// entry point that runs (and memoizes) a simulation cell.
+//
+// Determinism contract (DESIGN.md section 8): a cell's result depends
+// only on its ExperimentContext seeds/scale and its own fields — never
+// on scheduling. A cell that needs randomness derives a private seed
+// from its index via cellSeed() instead of drawing from a shared RNG,
+// so serial and parallel sweeps produce bit-identical metrics.
 #pragma once
 
+#include <compare>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <tuple>
 
 #include "pscd/cache/strategy_factory.h"
 #include "pscd/core/engine.h"
@@ -40,17 +49,45 @@ WorkloadParams traceParams(TraceKind trace, double subscriptionQuality,
 double paperBeta(StrategyKind strategy, TraceKind trace,
                  double capacityFraction);
 
+/// Derives the private RNG seed of cell `cellIndex` from a base seed:
+/// deterministic, order-free, and decorrelated across indices
+/// (SplitMix64 over the index stream). Use this — never a shared Rng —
+/// when generating per-cell randomness.
+std::uint64_t cellSeed(std::uint64_t baseSeed, std::uint64_t cellIndex);
+
+/// One simulation setting to run under an ExperimentContext. The cell
+/// is also the context's memo key: the defaulted comparison covers every
+/// field (FaultConfig and RetryPolicy included), so two cells share a
+/// result exactly when they describe the same run. Doubles compare by
+/// value with no tolerance, which is fine because cells are built from
+/// the same literals.
+struct ExperimentCell {
+  TraceKind trace = TraceKind::kNews;
+  double subscriptionQuality = 1.0;
+  StrategyKind strategy = StrategyKind::kGDStar;
+  double capacityFraction = 0.05;
+  PushScheme scheme = PushScheme::kAlwaysPushing;
+  bool collectHourly = false;
+  /// When set, overrides paperBeta() for this cell.
+  std::optional<double> beta{};
+  /// Failure model of this cell (default: disabled, ideal overlay). A
+  /// cell wanting stochastic faults should set faults.seed from its own
+  /// cellSeed() so the schedule stays order-free.
+  FaultConfig faults{};
+
+  friend auto operator<=>(const ExperimentCell&,
+                          const ExperimentCell&) = default;
+};
+
 /// Builds and memoizes canonical workloads, the overlay network, and
 /// finished simulation results so a bench can sweep strategies without
-/// regenerating traces or re-running cells it already rendered once.
+/// regenerating traces or re-running cells it already ran once.
 ///
-/// Thread-safe: the memo maps (the experiment registry) live behind one
-/// annotated mutex, so ParallelRunner can fan independent cells out
-/// across a ThreadPool. Workload/network construction happens under the
-/// lock (built exactly once, then read concurrently as const);
-/// simulations run outside it and merge their metrics back under it.
-/// Every run is deterministic in (seeds, scale, cell parameters) alone,
-/// so serial and parallel sweeps produce identical results.
+/// Thread-safe: the memo maps live behind one annotated mutex, so a
+/// bench can fan independent run() calls out across a ThreadPool.
+/// Workload/network construction happens under the lock (built exactly
+/// once, then read concurrently as const); simulations run outside it
+/// and merge their metrics back under it.
 class ExperimentContext {
  public:
   explicit ExperimentContext(std::uint64_t workloadSeed = 42,
@@ -61,49 +98,24 @@ class ExperimentContext {
       PSCD_EXCLUDES(mu_);
   const Network& network() PSCD_EXCLUDES(mu_);
 
-  /// Runs one simulation with the paper's beta for the setting; pass a
-  /// FaultConfig to run the cell under the failure model (the default
-  /// disables it).
-  SimMetrics run(TraceKind trace, double subscriptionQuality,
-                 StrategyKind strategy, double capacityFraction,
-                 PushScheme scheme = PushScheme::kAlwaysPushing,
-                 bool collectHourly = false,
-                 const FaultConfig& faults = {}) PSCD_EXCLUDES(mu_);
-
-  /// Same but with an explicit beta (used by the beta-sweep bench).
-  SimMetrics runWithBeta(TraceKind trace, double subscriptionQuality,
-                         StrategyKind strategy, double capacityFraction,
-                         double beta,
-                         PushScheme scheme = PushScheme::kAlwaysPushing,
-                         bool collectHourly = false,
-                         const FaultConfig& faults = {}) PSCD_EXCLUDES(mu_);
+  /// Runs `cell` (an unset beta becomes paperBeta() for the setting), or
+  /// returns the memoized metrics of an equal cell run before.
+  SimMetrics run(ExperimentCell cell) PSCD_EXCLUDES(mu_);
 
   std::uint64_t workloadSeed() const { return workloadSeed_; }
   std::uint64_t topologySeed() const { return topologySeed_; }
   double scale() const { return scale_; }
 
  private:
-  /// Every FaultConfig field, flattened so distinct failure settings
-  /// memoize as distinct cells.
-  using FaultKey =
-      std::tuple<std::uint64_t, double, double, bool, double, double, double,
-                 double, bool, std::uint32_t, double, double>;
-  static FaultKey faultKey(const FaultConfig& faults);
-
-  /// One simulation setting; doubles are compared bit-exactly, which is
-  /// fine because keys are always rebuilt from the same literals.
-  using CellKey =
-      std::tuple<int, double, int, double, double, int, bool, FaultKey>;
-
   std::uint64_t workloadSeed_;
   std::uint64_t topologySeed_;
   double scale_;
 
   mutable Mutex mu_;
-  std::map<std::pair<int, double>, std::unique_ptr<Workload>> workloads_
-      PSCD_GUARDED_BY(mu_);
+  std::map<std::pair<TraceKind, double>, std::unique_ptr<Workload>>
+      workloads_ PSCD_GUARDED_BY(mu_);
   std::unique_ptr<Network> network_ PSCD_GUARDED_BY(mu_);
-  std::map<CellKey, SimMetrics> results_ PSCD_GUARDED_BY(mu_);
+  std::map<ExperimentCell, SimMetrics> results_ PSCD_GUARDED_BY(mu_);
 };
 
 }  // namespace pscd

@@ -1,7 +1,6 @@
-// Tests for the shared bench flag/env parsing (bench/bench_common.h):
-// explicit flags beat PSCD_BENCH_* environment defaults, which beat the
-// builtin defaults, and every invalid input surfaces as kError with a
-// printable diagnostic instead of exiting.
+// Tests for the shared bench flag parsing (bench/bench_common.h):
+// flags override the builtin defaults, and every invalid input surfaces
+// as kError with a printable diagnostic instead of exiting.
 #include <map>
 #include <string>
 #include <vector>
@@ -13,70 +12,41 @@
 namespace pscd::bench {
 namespace {
 
-using EnvMap = std::map<std::string, std::string>;
-
-BenchEnvStatus parse(const std::vector<std::string>& flags, const EnvMap& env,
-                     BenchEnv* out, std::string* message,
-                     const std::vector<BenchOption>& extraOptions = {},
-                     std::map<std::string, std::string>* extraValues = nullptr) {
+BenchEnvStatus parse(
+    const std::vector<std::string>& flags, BenchEnv* out, std::string* message,
+    const std::vector<BenchOption>& extraOptions = {},
+    std::map<std::string, std::string>* extraValues = nullptr) {
   std::vector<const char*> argv = {"bench_test"};
   for (const std::string& f : flags) argv.push_back(f.c_str());
-  const auto lookup = [&env](const char* name) -> const char* {
-    const auto it = env.find(name);
-    return it == env.end() ? nullptr : it->second.c_str();
-  };
   return tryParseBenchEnv(static_cast<int>(argv.size()), argv.data(),
-                          "bench_test", "test driver", lookup, out, message,
+                          "bench_test", "test driver", out, message,
                           extraOptions, extraValues);
 }
 
 TEST(BenchEnv, BuiltinDefaults) {
   BenchEnv env;
   std::string message;
-  ASSERT_EQ(parse({}, {}, &env, &message), BenchEnvStatus::kOk);
+  ASSERT_EQ(parse({}, &env, &message), BenchEnvStatus::kOk);
   EXPECT_GE(env.jobs, 1u);  // --jobs 0 resolves to hardware concurrency
   EXPECT_DOUBLE_EQ(env.scale, 1.0);
   EXPECT_TRUE(env.csvPath.empty());
 }
 
-TEST(BenchEnv, EnvironmentProvidesDefaults) {
+TEST(BenchEnv, FlagsOverrideBuiltinDefaults) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "2"},
-                       {"PSCD_BENCH_SCALE", "0.5"},
-                       {"PSCD_BENCH_CSV", "env.csv"}};
-  ASSERT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kOk);
-  EXPECT_EQ(env.jobs, 2u);
-  EXPECT_DOUBLE_EQ(env.scale, 0.5);
-  EXPECT_EQ(env.csvPath, "env.csv");
-}
-
-TEST(BenchEnv, FlagsOverrideEnvironment) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "2"},
-                       {"PSCD_BENCH_SCALE", "0.5"},
-                       {"PSCD_BENCH_CSV", "env.csv"}};
   ASSERT_EQ(parse({"--jobs", "3", "--scale", "0.25", "--csv", "flag.csv"},
-                  vars, &env, &message),
+                  &env, &message),
             BenchEnvStatus::kOk);
   EXPECT_EQ(env.jobs, 3u);
   EXPECT_DOUBLE_EQ(env.scale, 0.25);
   EXPECT_EQ(env.csvPath, "flag.csv");
 }
 
-TEST(BenchEnv, EmptyEnvironmentValueFallsBackToBuiltin) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", ""}};
-  ASSERT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kOk);
-  EXPECT_DOUBLE_EQ(env.scale, 1.0);
-}
-
 TEST(BenchEnv, HelpReturnsHelpText) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--help"}, {}, &env, &message), BenchEnvStatus::kHelp);
+  EXPECT_EQ(parse({"--help"}, &env, &message), BenchEnvStatus::kHelp);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
   EXPECT_NE(message.find("--scale"), std::string::npos);
 }
@@ -84,7 +54,7 @@ TEST(BenchEnv, HelpReturnsHelpText) {
 TEST(BenchEnv, UnknownFlagIsError) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--frobnicate"}, {}, &env, &message),
+  EXPECT_EQ(parse({"--frobnicate"}, &env, &message),
             BenchEnvStatus::kError);
   EXPECT_NE(message.find("bench_test:"), std::string::npos);
 }
@@ -92,92 +62,40 @@ TEST(BenchEnv, UnknownFlagIsError) {
 TEST(BenchEnv, OutOfRangeScaleIsError) {
   BenchEnv env;
   std::string message;
-  EXPECT_EQ(parse({"--scale", "2"}, {}, &env, &message),
+  EXPECT_EQ(parse({"--scale", "2"}, &env, &message),
             BenchEnvStatus::kError);
   EXPECT_NE(message.find("--scale"), std::string::npos);
 }
 
-TEST(BenchEnv, OutOfRangeScaleFromEnvironmentIsError) {
+TEST(BenchEnv, NegativeJobsIsError) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", "0"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
-  EXPECT_NE(message.find("--scale"), std::string::npos);
-}
-
-TEST(BenchEnv, NegativeJobsFromEnvironmentIsError) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "-1"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_EQ(parse({"--jobs", "-1"}, &env, &message), BenchEnvStatus::kError);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
 }
 
-TEST(BenchEnv, MalformedJobsFromEnvironmentIsErrorNotThrow) {
+TEST(BenchEnv, MalformedJobsIsErrorNotThrow) {
   BenchEnv env;
   std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_JOBS", "many"}};
-  EXPECT_EQ(parse({}, vars, &env, &message), BenchEnvStatus::kError);
+  EXPECT_EQ(parse({"--jobs", "many"}, &env, &message),
+            BenchEnvStatus::kError);
   EXPECT_NE(message.find("--jobs"), std::string::npos);
-}
-
-TEST(BenchEnv, ValidFlagBeatsMalformedEnvironment) {
-  BenchEnv env;
-  std::string message;
-  const EnvMap vars = {{"PSCD_BENCH_SCALE", "bogus"}};
-  ASSERT_EQ(parse({"--scale", "0.75"}, vars, &env, &message),
-            BenchEnvStatus::kOk);
-  EXPECT_DOUBLE_EQ(env.scale, 0.75);
 }
 
 // ---- bench-specific extra options (the bench_serve machinery) ---------
 
 std::vector<BenchOption> serveLikeOptions() {
-  return {{"mode", "closed or open", "closed", "PSCD_BENCH_SERVE_MODE"},
-          {"qps", "open-loop target rate", "1000", "PSCD_BENCH_SERVE_QPS"}};
+  return {{"mode", "closed or open", "closed"},
+          {"qps", "open-loop target rate", "1000"}};
 }
 
 TEST(BenchEnv, ExtraOptionBuiltinDefault) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  ASSERT_EQ(parse({}, {}, &env, &message, serveLikeOptions(), &values),
+  ASSERT_EQ(parse({}, &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kOk);
   EXPECT_EQ(values.at("mode"), "closed");
-  EXPECT_EQ(values.at("qps"), "1000");
-}
-
-TEST(BenchEnv, ExtraOptionEnvironmentOverridesBuiltin) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_MODE", "open"}};
-  ASSERT_EQ(parse({}, vars, &env, &message, serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
-  EXPECT_EQ(values.at("mode"), "open");
-  EXPECT_EQ(values.at("qps"), "1000");  // untouched option keeps builtin
-}
-
-TEST(BenchEnv, ExtraOptionFlagBeatsEnvironment) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_MODE", "open"},
-                       {"PSCD_BENCH_SERVE_QPS", "77"}};
-  ASSERT_EQ(parse({"--mode", "closed"}, vars, &env, &message,
-                  serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
-  EXPECT_EQ(values.at("mode"), "closed");  // flag wins
-  EXPECT_EQ(values.at("qps"), "77");       // env still beats builtin
-}
-
-TEST(BenchEnv, ExtraOptionEmptyEnvironmentFallsBackToBuiltin) {
-  BenchEnv env;
-  std::string message;
-  std::map<std::string, std::string> values;
-  const EnvMap vars = {{"PSCD_BENCH_SERVE_QPS", ""}};
-  ASSERT_EQ(parse({}, vars, &env, &message, serveLikeOptions(), &values),
-            BenchEnvStatus::kOk);
   EXPECT_EQ(values.at("qps"), "1000");
 }
 
@@ -185,7 +103,7 @@ TEST(BenchEnv, ExtraOptionsAppearInHelpText) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  EXPECT_EQ(parse({"--help"}, {}, &env, &message, serveLikeOptions(), &values),
+  EXPECT_EQ(parse({"--help"}, &env, &message, serveLikeOptions(), &values),
             BenchEnvStatus::kHelp);
   EXPECT_NE(message.find("--mode"), std::string::npos);
   EXPECT_NE(message.find("--qps"), std::string::npos);
@@ -196,7 +114,7 @@ TEST(BenchEnv, SharedFlagsStillParseAlongsideExtras) {
   BenchEnv env;
   std::string message;
   std::map<std::string, std::string> values;
-  ASSERT_EQ(parse({"--scale", "0.5", "--mode", "open"}, {}, &env, &message,
+  ASSERT_EQ(parse({"--scale", "0.5", "--mode", "open"}, &env, &message,
                   serveLikeOptions(), &values),
             BenchEnvStatus::kOk);
   EXPECT_DOUBLE_EQ(env.scale, 0.5);

@@ -73,6 +73,20 @@ TEST(BrokerTest, PredicateSubscriptionsMergeWithAggregated) {
   EXPECT_EQ(n[1], (Notification{2, 1}));
 }
 
+TEST(BrokerTest, MergedMatchCountSaturatesInsteadOfWrapping) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  Broker b(3);
+  b.subscribeAggregated(1, 7, kMax);
+  Subscription s;
+  s.proxy = 1;
+  s.conjuncts = {{Predicate::Kind::kPageIdEq, 7}};
+  b.subscribe(s);
+  const auto n = b.publish(pageAttrs(7));
+  ASSERT_EQ(n.size(), 1u);
+  EXPECT_EQ(n[0], (Notification{1, kMax}));
+  EXPECT_EQ(b.notificationCount(), kMax);
+}
+
 TEST(BrokerTest, UnsubscribeStopsNotifications) {
   Broker b(2);
   Subscription s;
