@@ -37,6 +37,10 @@ int main(int argc, char** argv) {
         c.beta = paperBeta(StrategyKind::kDCFP, trace, cap);
         c.capacityFraction = cap;
         c.dcInitialPcFraction = kFractions[f];
+        // DC-FP never reads the LAP bounds, but the Simulator requires
+        // min <= initial <= max; pin them to the swept fraction.
+        c.dcMinPcFraction = kFractions[f];
+        c.dcMaxPcFraction = kFractions[f];
         Simulator sim(ctx.workload(trace, 1.0), ctx.network(), c);
         hit[f][s] = sim.run().hitRatio();
       });

@@ -14,34 +14,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
   // xoshiro must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -51,15 +28,17 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniformInt(std::uint64_t n) {
   PSCD_DCHECK_GT(n, 0u);
-  // Lemire's nearly-divisionless bounded sampling with rejection.
-  const std::uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    const std::uint64_t x = next();
-    const __uint128_t m = static_cast<__uint128_t>(x) * n;
-    if (static_cast<std::uint64_t>(m) >= threshold) {
-      return static_cast<std::uint64_t>(m >> 64);
+  // Lemire's nearly-divisionless bounded sampling with rejection. The
+  // rejection threshold 2^64 mod n is below n, so a low word >= n is
+  // always accepted and the division runs only when low < n.
+  __uint128_t m = static_cast<__uint128_t>(next()) * n;
+  if (static_cast<std::uint64_t>(m) < n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    while (static_cast<std::uint64_t>(m) < threshold) {
+      m = static_cast<__uint128_t>(next()) * n;
     }
   }
+  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {

@@ -6,6 +6,7 @@
 // implemented from first principles.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -29,6 +30,8 @@ class Rng {
 
   result_type operator()() { return next(); }
 
+  // next() and uniform() are defined inline below: the workload
+  // generators draw millions of values through them.
   std::uint64_t next();
 
   /// Uniform double in [0, 1).
@@ -63,6 +66,23 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+inline std::uint64_t Rng::next() {
+  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() {
+  // 53 high bits -> double in [0, 1).
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
 
 /// SplitMix64 step; exposed for seeding helpers and tests.
 std::uint64_t splitmix64(std::uint64_t& state);

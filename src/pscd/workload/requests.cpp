@@ -127,6 +127,10 @@ std::vector<RequestEvent> generateRequests(const RequestParams& params,
   if (numPages == 0 || params.numProxies == 0) {
     throw std::invalid_argument("generateRequests: empty pages/proxies");
   }
+  if (params.numProxies > kMaxRequestProxies) {
+    throw std::invalid_argument(
+        "generateRequests: more proxies than RequestEvent can hold (2^31)");
+  }
 
   // 1. Popularity ranks are planned by the publishing generator (they
   //    are correlated with update behaviour); derive the Zipf weights.
@@ -153,9 +157,13 @@ std::vector<RequestEvent> generateRequests(const RequestParams& params,
   }
   if (maxCount == 0) return {};
 
-  // 3. Request times and server pools, page by page.
+  // 3. Request times and server pools, page by page. The version
+  //    tables and the time buffer are reused across pages.
   std::vector<RequestEvent> requests;
   requests.reserve(params.totalRequests);
+  std::vector<double> versionWeight;
+  std::vector<TruncatedPowerLawAge> versionAge;
+  std::vector<SimTime> times;
   for (PageId page = 0; page < numPages; ++page) {
     const std::uint32_t n = perPage[page];
     if (n == 0) continue;
@@ -177,28 +185,32 @@ std::vector<RequestEvent> generateRequests(const RequestParams& params,
     // it keeps being edited. A request picks a version under the
     // envelope and then decays from that version's publish time.
     const double gamma = params.classGamma[info.popularityClass];
-    std::vector<double> versionWeight(info.numVersions);
+    versionWeight.resize(info.numVersions);
+    versionAge.clear();
     for (std::uint32_t k = 0; k < info.numVersions; ++k) {
       const SimTime sincebirth = k * info.modificationInterval;
       versionWeight[k] = std::pow(
           1.0 + sincebirth / static_cast<double>(params.lifecycleTau),
           -params.lifecycleGamma);
+      // Every request of version k shares its age sampler. The floor
+      // keeps the sampler well-defined for pages published in the
+      // horizon's last moments; the final clamp below keeps such
+      // requests inside the simulated week.
+      const SimTime versionTime =
+          info.firstPublish + k * info.modificationInterval;
+      versionAge.emplace_back(gamma, static_cast<double>(params.ageTau),
+                              std::max(horizon - versionTime, kMinute));
     }
     const DiscreteSampler versionSampler(versionWeight);
-    std::vector<SimTime> times(n);
+    times.resize(n);
     for (auto& t : times) {
       const std::uint32_t version =
           info.numVersions > 1 ? versionSampler.sample(rng) : 0;
       const SimTime versionTime =
           info.firstPublish + version * info.modificationInterval;
-      // The floor keeps the sampler well-defined for pages published in
-      // the horizon's last moments; the final clamp keeps such requests
-      // inside the simulated week.
-      const double maxAge = std::max(horizon - versionTime, kMinute);
-      const TruncatedPowerLawAge ageDist(
-          gamma, static_cast<double>(params.ageTau), maxAge);
-      t = std::min(sampleRequestTime(params, ageDist, versionTime, rng),
-                   horizon);
+      t = std::min(
+          sampleRequestTime(params, versionAge[version], versionTime, rng),
+          horizon);
     }
     std::sort(times.begin(), times.end());
     for (const SimTime t : times) {

@@ -21,12 +21,12 @@ constexpr std::uint32_t kFormatVersion = 2;
 /// this is malformed, not merely large.
 constexpr std::uint64_t kMaxVecBytes = 1ull << 30;
 
-/// On-disk mirror of RequestEvent. The in-memory struct carries a
-/// `bool`, and reading a raw byte other than 0/1 into a bool is
-/// undefined behaviour — so the disk side uses uint8_t and the loader
-/// validates the byte. The explicit pad keeps the layout identical to
-/// RequestEvent (same field offsets, no implicit tail padding), which
-/// keeps the format compatible and makes the written bytes fully
+/// On-disk record of a RequestEvent: 24 bytes, with the full 32-bit
+/// proxy and the flag in its own byte, while the in-memory struct packs
+/// both into one word (16 bytes). Reading a raw byte other than 0/1
+/// into a bool is undefined behaviour, and a proxy above 31 bits would
+/// be truncated, so the loader validates both. The explicit pad leaves
+/// no implicit tail padding, which makes the written bytes fully
 /// deterministic.
 struct RequestEventDisk {
   SimTime time = 0.0;
@@ -35,9 +35,7 @@ struct RequestEventDisk {
   std::uint8_t notificationDriven = 1;
   std::uint8_t pad[7] = {};
 };
-static_assert(sizeof(RequestEventDisk) == sizeof(RequestEvent));
-static_assert(offsetof(RequestEventDisk, notificationDriven) ==
-              offsetof(RequestEvent, notificationDriven));
+static_assert(sizeof(RequestEventDisk) == 24);
 
 void writeBytes(std::ostream& out, const void* data, std::size_t n) {
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
@@ -117,6 +115,10 @@ std::vector<RequestEvent> fromDisk(const std::vector<RequestEventDisk>& v) {
     if (v[i].notificationDriven > 1) {
       throw std::runtime_error(
           "loadWorkload: invalid notificationDriven byte in requests");
+    }
+    if (v[i].proxy >= kMaxRequestProxies) {
+      throw std::runtime_error(
+          "loadWorkload: proxy id above 31 bits in requests");
     }
     out[i].time = v[i].time;
     out[i].page = v[i].page;

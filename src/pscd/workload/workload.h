@@ -29,13 +29,21 @@ struct PageInfo {
   std::uint32_t requestCount = 0;
 };
 
+/// One request of the trace, packed to 16 bytes: the flag shares the
+/// proxy's word, so proxy ids are limited to 31 bits (generateRequests
+/// rejects more than 2^31 proxies). The trace file keeps a 24-byte
+/// record (workload/serialize.cpp).
 struct RequestEvent {
   SimTime time = 0.0;
   PageId page = kInvalidPage;
-  ProxyId proxy = 0;
+  ProxyId proxy : 31 = 0;
   /// False for the future-work scenario of readers who never subscribed.
-  bool notificationDriven = true;
+  bool notificationDriven : 1 = true;
 };
+static_assert(sizeof(RequestEvent) == 16);
+
+/// Proxy ids a RequestEvent can hold: [0, kMaxRequestProxies).
+inline constexpr std::uint64_t kMaxRequestProxies = 1ull << 31;
 
 /// A user at `proxy` drops one subscription to `fromPage` and subscribes
 /// to `toPage` instead (extension: the paper assumes static

@@ -161,6 +161,16 @@ TEST(RequestsTest, MissingRanksRejected) {
                std::invalid_argument);
 }
 
+TEST(RequestsTest, ProxyCountAboveFieldWidthRejected) {
+  // RequestEvent::proxy is 31 bits wide, so ids stop at 2^31 - 1. The
+  // check runs before any per-proxy allocation.
+  auto s = makeSetup(19);
+  s.params.numProxies = (1u << 31) + 1;
+  Rng rng(20);
+  EXPECT_THROW(generateRequests(s.params, s.horizon, s.pages, rng),
+               std::invalid_argument);
+}
+
 TEST(RequestsTest, DeterministicPerSeed) {
   auto s1 = makeSetup(21), s2 = makeSetup(21);
   Rng a(22), b(22);

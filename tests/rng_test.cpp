@@ -142,6 +142,50 @@ TEST(RngTest, SplitMix64KnownSequenceIsDeterministic) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(splitmix64(s1), splitmix64(s2));
 }
 
+// Golden values: the statistical tests above would pass for any good
+// generator, but traces are reproducible only if these exact streams
+// never change, so any rewrite of next(), uniform() or uniformInt()
+// must reproduce them, rejected draws included.
+TEST(RngTest, GoldenNextAndUniform) {
+  Rng rng(2024);
+  const std::uint64_t next[] = {0x0e48715a13d7772eull, 0xc837f3ee8a7a1065ull,
+                                0x1272314b15ee5001ull, 0x28e323a6abe2a46bull};
+  for (const std::uint64_t v : next) EXPECT_EQ(rng.next(), v);
+  const double uniform[] = {0x1.8c1be764c2cc1p-1, 0x1.f57f8431e67a8p-3,
+                            0x1.93ccc2d5a6b98p-2, 0x1.072ce94cf145ep-2};
+  for (const double v : uniform) EXPECT_EQ(rng.uniform(), v);
+}
+
+TEST(RngTest, GoldenUniformInt) {
+  struct Case {
+    std::uint64_t n;
+    std::uint64_t draws[6];
+    /// next() after the six draws: pins how many words were consumed,
+    /// including rejected ones (2^63 + 1 rejects about half its draws).
+    std::uint64_t after;
+  };
+  const Case cases[] = {
+      {1, {0, 0, 0, 0, 0, 0}, 0x64f330b569ae67a8ull},
+      {3, {0, 2, 0, 0, 2, 0}, 0x64f330b569ae67a8ull},
+      {6000, {334, 4692, 432, 958, 4641, 1469}, 0x64f330b569ae67a8ull},
+      {(1ull << 32) + 1,
+       {239628634ull, 3359110127ull, 309473611ull, 685974438ull,
+        3322803123ull, 1051717766ull},
+       0x64f330b569ae67a8ull},
+      {(1ull << 63) + 1,
+       {664589519293982720ull, 1473118889992868405ull, 2258546705306200698ull,
+        6644008486317064688ull, 8134989128028724035ull,
+        3378749892732358586ull},
+       0xc5fe2bd783c51d0full},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.n);
+    Rng rng(2024);
+    for (const std::uint64_t v : c.draws) EXPECT_EQ(rng.uniformInt(c.n), v);
+    EXPECT_EQ(rng.next(), c.after);
+  }
+}
+
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   EXPECT_EQ(Rng::min(), 0u);

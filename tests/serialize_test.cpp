@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -120,6 +122,20 @@ TEST(SerializeTest, InvalidNotificationDrivenByteRejected) {
   EXPECT_NE(loadError(bytes).find("notificationDriven"), std::string::npos);
 }
 
+TEST(SerializeTest, ProxyAboveFieldWidthRejected) {
+  Workload w = buildWorkload(tinyParams());
+  ASSERT_FALSE(w.requests.empty());
+  std::string bytes = savedBytes(w);
+  const std::size_t requestsOffset =
+      kPagesOffset + 8 + w.pages.size() * sizeof(PageInfo) + 8 +
+      w.publishes.size() * sizeof(PublishEvent) + 8;
+  // RequestEvent keeps the proxy in 31 bits; a wider on-disk value must
+  // be rejected, not truncated into a valid-looking proxy id.
+  const std::uint32_t wide = 0x80000000u;
+  std::memcpy(bytes.data() + requestsOffset + 12, &wide, sizeof(wide));
+  EXPECT_NE(loadError(bytes).find("proxy"), std::string::npos);
+}
+
 TEST(SerializeTest, RoundTripPreservesNotificationDrivenFlags) {
   Workload w = buildWorkload(tinyParams());
   ASSERT_GE(w.requests.size(), 4u);
@@ -149,6 +165,36 @@ TEST(SerializeTest, SavedBytesAreDeterministic) {
   // Two saves must be byte-identical: the request records go through a
   // zero-padded disk mirror, so no uninitialized padding leaks out.
   EXPECT_EQ(savedBytes(w), savedBytes(w));
+}
+
+/// The parameters of tests/data/golden_tiny_trace.bin.
+WorkloadParams goldenTinyParams() {
+  WorkloadParams p = newsTraceParams();
+  p.publishing.numPages = 40;
+  p.publishing.numUpdatedPages = 16;
+  p.publishing.maxVersionsPerPage = 5;
+  p.request.totalRequests = 300;
+  p.request.numProxies = 4;
+  p.request.minServerPool = 2;
+  p.request.notificationDrivenFraction = 0.5;
+  p.seed = 5;
+  return p;
+}
+
+// A committed trace file: the 24-byte disk record does not follow
+// RequestEvent's in-memory layout, so the file must load, re-save to
+// the same bytes, and equal a fresh save of the same parameters.
+TEST(SerializeTest, GoldenTraceLoadsAndResavesByteIdentically) {
+  std::ifstream in(PSCD_TEST_DATA_DIR "/golden_tiny_trace.bin",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  const std::string golden{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+  std::stringstream buf(golden);
+  const Workload w = loadWorkload(buf);
+  EXPECT_EQ(w.requests.size(), 300u);
+  EXPECT_EQ(savedBytes(w), golden);
+  EXPECT_EQ(savedBytes(buildWorkload(goldenTinyParams())), golden);
 }
 
 TEST(SerializeTest, MissingFileThrows) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 namespace pscd {
@@ -89,6 +90,68 @@ TEST(WorkloadTest, UniqueBytesConsistent) {
     EXPECT_EQ(w.uniqueBytesRequested[p], expect[p]);
     EXPECT_GT(w.uniqueBytesRequested[p], 0u);
   }
+}
+
+// The same recount on the paper-scale NEWS trace with half of the
+// requests not notification-driven: 6000 pages x 100 proxies exercises
+// the whole (page, proxy) table that buildWorkload marks.
+TEST(WorkloadTest, UniqueBytesConsistentAtPaperScale) {
+  WorkloadParams p = newsTraceParams();
+  p.request.notificationDrivenFraction = 0.5;
+  const Workload w = buildWorkload(p);
+  std::vector<Bytes> expect(w.numProxies(), 0);
+  std::set<std::pair<PageId, ProxyId>> seen;
+  for (const auto& r : w.requests) {
+    if (seen.insert({r.page, r.proxy}).second) {
+      expect[r.proxy] += w.pages[r.page].size;
+    }
+  }
+  EXPECT_EQ(w.uniqueBytesRequested, expect);
+}
+
+/// FNV-1a over every request field, the subscription entries and the
+/// per-proxy unique bytes.
+std::uint64_t fingerprint(const Workload& w) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  add(w.requests.size());
+  for (const RequestEvent& r : w.requests) {
+    add(std::bit_cast<std::uint64_t>(r.time));
+    add(r.page);
+    add(r.proxy);
+    add(r.notificationDriven ? 1 : 0);
+  }
+  add(w.subEntries.size());
+  for (const Notification& n : w.subEntries) {
+    add(n.proxy);
+    add(n.matchCount);
+  }
+  for (const Bytes b : w.uniqueBytesRequested) add(b);
+  return h;
+}
+
+// Golden fingerprints of the paper-scale traces at seed 42. A change to
+// RequestEvent's layout or to the generator's speed must leave every
+// generated value and the RNG consumption order unchanged.
+TEST(WorkloadTest, GoldenFingerprintNews) {
+  EXPECT_EQ(fingerprint(buildWorkload(newsTraceParams())),
+            0x051e72ba5b302305ull);
+}
+
+TEST(WorkloadTest, GoldenFingerprintAlternative) {
+  EXPECT_EQ(fingerprint(buildWorkload(alternativeTraceParams())),
+            0xfe37f3c050a2b147ull);
+}
+
+TEST(WorkloadTest, GoldenFingerprintHalfNotificationDriven) {
+  WorkloadParams p = newsTraceParams();
+  p.request.notificationDrivenFraction = 0.5;
+  EXPECT_EQ(fingerprint(buildWorkload(p)), 0xb658583a50181e44ull);
 }
 
 TEST(WorkloadTest, TraceParamsDifferOnlyInAlpha) {
